@@ -3,17 +3,11 @@
  * Shared plumbing for the figure/table bench binaries.
  *
  * Every binary regenerates one of the paper's tables or figures and
- * prints the same rows/series the paper reports. Common flags:
- *
- *   --csv              machine-readable output
- *   --scenes a,b,c     restrict to a subset of the 15 scenes
- *                      (unknown labels are an error)
- *   --jobs N           campaign worker threads (default: hardware
- *                      concurrency; output is byte-identical for
- *                      every N — see src/exec/)
- *   --json-out FILE    append each emitted table as one JSON line
- *                      ({"bench": ..., "table": {...}}), so bench
- *                      trajectories can be collected by tooling
+ * prints the same rows/series the paper reports. The common flags
+ * (--csv, --scenes, --jobs, --json-out; see parse() or any binary's
+ * --help) are shared; --json-out lines are
+ * {"bench": ..., "table": {...}}, so bench trajectories can be
+ * collected by tooling.
  *
  * The per-scene × per-config simulation loops run on the
  * `cooprt::exec` campaign engine (`runMatrix` / `compareCoopAll`
@@ -27,13 +21,13 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/cli.hpp"
 #include "core/simulation.hpp"
 #include "exec/exec.hpp"
 #include "stats/table.hpp"
@@ -55,62 +49,39 @@ struct Options
     mutable std::string bench_name;
 };
 
+/**
+ * Parse the common flags plus a binary's @p extra ones (the program
+ * name for --help and diagnostics comes from argv[0]).
+ */
 inline Options
-parse(int argc, char **argv)
+parse(int argc, char **argv, std::vector<cli::Flag> extra = {})
 {
     Options opt;
     opt.scenes = scene::SceneRegistry::allLabels();
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        // Diagnostics go to stderr and exit non-zero (2, the usage
-        // convention the CLIs share), so scripted sweeps fail loudly
-        // instead of silently running the full default matrix.
-        auto next = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "[bench] %s needs a value\n",
-                             flag);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--csv") {
-            opt.csv = true;
-        } else if (arg == "--scenes") {
-            opt.scenes.clear();
-            std::stringstream ss(next("--scenes"));
-            std::string tok;
-            while (std::getline(ss, tok, ',')) {
-                if (!scene::SceneRegistry::has(tok)) {
-                    std::string valid;
-                    for (const auto &l :
-                         scene::SceneRegistry::allLabels())
-                        valid += (valid.empty() ? "" : ", ") + l;
-                    std::fprintf(stderr,
-                                 "[bench] unknown scene '%s' "
-                                 "(valid: %s)\n",
-                                 tok.c_str(), valid.c_str());
-                    std::exit(2);
-                }
-                opt.scenes.push_back(tok);
-            }
-            if (opt.scenes.empty()) {
-                std::fprintf(stderr,
-                             "[bench] --scenes selected no scenes\n");
-                std::exit(2);
-            }
-        } else if (arg == "--jobs") {
-            opt.jobs = std::atoi(next("--jobs"));
-        } else if (arg == "--json-out") {
-            opt.json_out = next("--json-out");
-        } else {
-            std::fprintf(stderr,
-                         "[bench] unknown flag '%s' (--csv, "
-                         "--scenes a,b,c, --jobs N, --json-out "
-                         "FILE)\n",
-                         arg.c_str());
-            std::exit(2);
-        }
-    }
+    const std::string prog =
+        std::filesystem::path(argc > 0 ? argv[0] : "bench")
+            .filename()
+            .string();
+    cli::Command cmd{
+        .name = prog,
+        .summary = "Regenerate one of the paper's tables or figures.",
+        .flags = {
+            {"--csv", "", "machine-readable output", cli::enable(opt.csv)},
+            {"--scenes", "a,b,c", "restrict to a subset of the scenes",
+             [&opt](const cli::Args &v) {
+                 opt.scenes = cli::sceneList(v[0]);
+             }},
+            {"--jobs", "N",
+             "campaign worker threads (default 0: hardware "
+             "concurrency); output is byte-identical for every N",
+             cli::number(opt.jobs, 0)},
+            {"--json-out", "FILE",
+             "append each emitted table as one JSON line",
+             cli::store(opt.json_out)},
+        }};
+    for (auto &f : extra)
+        cmd.flags.push_back(std::move(f));
+    cli::parse(cmd, argc, argv);
     return opt;
 }
 

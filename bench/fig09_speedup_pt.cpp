@@ -37,10 +37,13 @@ int
 main(int argc, char **argv)
 {
     using namespace cooprt;
-    auto opt = benchutil::parse(argc, argv);
-    for (int i = 1; i < argc; ++i)
-        if (std::string(argv[i]) == "--config")
-            printConfig(gpu::GpuConfig::rtx2060Bench());
+    bool show_config = false;
+    auto opt = benchutil::parse(
+        argc, argv,
+        {{"--config", "", "also print the Table 1 GPU configuration",
+          cli::enable(show_config)}});
+    if (show_config)
+        printConfig(gpu::GpuConfig::rtx2060Bench());
 
     benchutil::banner("Fig. 9 — CoopRT speedup / power / energy over "
                       "baseline (path tracing)", opt);

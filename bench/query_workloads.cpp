@@ -78,62 +78,51 @@ main(int argc, char **argv)
     benchutil::banner(
         "Query workloads — baseline vs CoopRT (oracle-checked)", opt);
 
-    std::vector<std::string> points;
-    std::vector<std::string> amr;
-    for (const auto &label : opt.scenes) {
-        switch (scene::SceneRegistry::get(label).kind) {
-          case scene::SceneKind::PointCloud:
-            points.push_back(label);
-            break;
-          case scene::SceneKind::AmrCells:
-            amr.push_back(label);
-            break;
-          case scene::SceneKind::Triangles:
+    for (const auto &label : opt.scenes)
+        if (scene::SceneRegistry::get(label).kind ==
+            scene::SceneKind::Triangles)
             benchutil::note("skipping triangle scene " + label +
                             " (query workloads want pts*/amr*)");
-            break;
-        }
-    }
 
-    struct Row
-    {
-        const char *workload;
-        core::ShaderKind shader;
-        const std::vector<std::string> *scenes;
-    };
-    const Row rows[] = {
-        {"knn", core::ShaderKind::QueryKnn, &points},
-        {"radius", core::ShaderKind::QueryRadius, &points},
-        {"contain", core::ShaderKind::QueryContain, &amr},
+    const std::pair<const char *, core::ShaderKind> rows[] = {
+        {"knn", core::ShaderKind::QueryKnn},
+        {"radius", core::ShaderKind::QueryRadius},
+        {"contain", core::ShaderKind::QueryContain},
     };
 
     stats::Table t({"workload", "scene", "queries", "found",
                     "base cycles", "coop cycles", "speedup",
                     "coop top stall", "hot depth"});
-    for (const auto &r : rows) {
-        if (r.scenes->empty())
+    for (const auto &[workload, shader] : rows) {
+        // The selected scenes this workload runs on.
+        std::vector<std::string> scenes;
+        for (const auto &label : opt.scenes)
+            if (scene::SceneRegistry::get(label).kind ==
+                core::sceneKindFor(shader))
+                scenes.push_back(label);
+        if (scenes.empty())
             continue;
         core::RunConfig base;
-        base.shader = r.shader;
+        base.shader = shader;
         core::RunConfig coop = base;
         coop.gpu.trace.coop = true;
         const benchutil::Matrix m = benchutil::runMatrix(
-            opt, *r.scenes, {base, coop},
-            std::string("query ") + r.workload,
+            opt, scenes, {base, coop},
+            std::string("query ") + workload,
             /*attach_profiler=*/true, /*attach_memscope=*/true);
-        for (std::size_t s = 0; s < r.scenes->size(); ++s) {
+        for (std::size_t s = 0; s < scenes.size(); ++s) {
             const core::RunOutcome &b = m.at(s, 0);
             const core::RunOutcome &c = m.at(s, 1);
             if (!b.query.oracleMatches() || !c.query.oracleMatches()) {
                 std::fprintf(stderr,
                              "[bench] %s/%s disagrees with the "
                              "brute-force oracle\n",
-                             (*r.scenes)[s].c_str(), r.workload);
+                             scenes[s].c_str(), workload);
                 return 1;
             }
             t.row()
-                .cell(r.workload)
-                .cell((*r.scenes)[s])
+                .cell(workload)
+                .cell(scenes[s])
                 .cell(b.query.queries)
                 .cell(b.query.found)
                 .cell(double(b.gpu.cycles), 0)

@@ -10,89 +10,26 @@
  *   ./campaign_cli --scenes fox --configs base,coop,sw8 --json-out r.ndjson
  *   ./campaign_cli --configs base,coop --retries 1 --timeout-s 600
  *
- * Flags:
- *   --matrix S x C        scene list and config list in one flag
- *                         (either side may be "all"); equivalent to
- *                         --scenes S --configs C
- *   --scenes a,b,c        scene axis (default: all 15 rendering
- *                         scenes; query shaders default to their
- *                         matching query scenes instead — point
- *                         clouds for knn/radius, AMR grids for
- *                         contain — and "all" resolves the same way)
- *   --configs c1,c2       config axis (default: base,coop); see
- *                         --list-configs for the named presets
- *   --shader pt|ao|sh|knn|radius|contain
- *                         workload applied to every config (query
- *                         workloads: see src/query/)
- *   --resolution N        square frame size (default: scene's bench)
- *   --jobs N              worker threads (default: hardware
- *                         concurrency)
- *   --retries K           extra attempts after a thrown job failure
- *   --timeout-s T         per-job wall-clock budget in seconds
- *   --json-out FILE       append one JSON line per job; "-" writes
- *                         the lines to stdout (and the summary table
- *                         moves to stderr, so stdout stays pure JSON)
- *   --report-dir DIR      per-job schema-stamped run report
- *                         (`<tag>.report.json`) — the files
- *                         diff_cli and --diff-baseline consume;
- *                         byte-identical across --jobs counts
- *   --metrics-dir DIR     per-job metrics CSV, named by job tag
- *   --profile-dir DIR     per-job folded + JSON stall profiles
- *   --ray-dir DIR         per-job ray-provenance stats JSON, named
- *                         by job tag (see DESIGN.md "Ray provenance")
- *   --ray-sample-k N      rays sampled per warp for --ray-dir
- *                         recorders (default 4)
- *   --memscope-dir DIR    per-job memscope JSON + folded node
- *                         heatmaps, named by job tag (see DESIGN.md
- *                         "Memory & BVH-topology profiling")
- *   --csv                 CSV summary table
- *   --list-configs        list named configs and exit
- *   --version             print build provenance (git revision,
- *                         compiler, COOPRT_CHECK) and exit
- *
- * Differential attribution (DESIGN.md section 18 / src/diff/):
- *   --diff-baseline DIR   diff every successful job against the
- *                         matching `<tag>.report.json` under DIR (a
- *                         previous run's --report-dir); requires
- *                         --diff-out. A missing DIR exits 2 before
- *                         any job runs.
- *   --diff-out FILE       where the per-job diff documents go, one
- *                         JSON line per job in submission order —
- *                         byte-identical across --jobs counts.
- *                         "-" writes them to stdout (the summary
- *                         table then moves to stderr)
- *
- * Host-side telemetry (DESIGN.md "Telemetry" / src/telemetry/):
- *   --telemetry-dir DIR   per-job telemetry JSON (phase spans,
- *                         throughput, RSS), named by job tag;
- *                         deterministic fields are byte-identical
- *                         across --jobs counts, wall-clock fields
- *                         live in each sink's "host" object
- *   --telemetry-log FILE  campaign lifecycle event log, one JSON
- *                         line per job start/retry/timeout/finish
- *                         plus campaign begin/end
- *   --heartbeat-s S       live stderr status line every S seconds
- *                         (done/failed/running jobs, steals, EWMA
- *                         job duration, ETA, RSS); S must be
- *                         positive
- *   --prom-out FILE       Prometheus text-exposition snapshot of the
- *                         campaign counters, rewritten atomically on
- *                         every heartbeat (or once at exit without
- *                         --heartbeat-s)
+ * `--help` lists every flag, generated from the table in main().
+ * Scene and config lists may be "all"; --list-configs names the
+ * presets. "-" for --json-out or --diff-out writes to stdout and moves
+ * the table to stderr. --diff-baseline DIR (a previous --report-dir)
+ * needs --diff-out and must exist before any job runs (DESIGN.md
+ * section 18); the per-job sinks are described in DESIGN.md
+ * ("Campaign engine", "Ray provenance", "Memory & BVH-topology
+ * profiling", "Telemetry").
  */
 
 #include <atomic>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <vector>
 
-#include "core/build_info.hpp"
+#include "core/cli.hpp"
 #include "diff/diff.hpp"
 #include "exec/exec.hpp"
 #include "stats/table.hpp"
@@ -157,48 +94,12 @@ findConfig(const std::string &name)
     return nullptr;
 }
 
-std::vector<std::string>
-splitList(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(csv);
-    std::string tok;
-    while (std::getline(ss, tok, ','))
-        if (!tok.empty())
-            out.push_back(tok);
-    return out;
-}
-
-int
-usage(const std::string &msg = {})
-{
-    if (!msg.empty())
-        std::cerr << "error: " << msg << "\n";
-    std::cerr << "see the header of campaign_cli.cpp or run --help\n";
-    return 2;
-}
-
-void
-printVersion(std::ostream &os)
-{
-    os << "cooprt campaign_cli\n"
-       << "  revision:   " << cooprt::build::kGitRevision
-       << (cooprt::build::kGitDirty ? " (dirty)" : "") << "\n"
-       << "  compiler:   " << cooprt::build::kCompiler << "\n"
-       << "  build type: " << cooprt::build::kBuildType << "\n"
-       << "  check:      "
-       << (cooprt::build::kCheckEnabled ? "on" : "off") << "\n"
-       << "  schema:     v" << cooprt::trace::kSchemaVersion << "\n";
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::vector<std::string> scenes =
-        scene::SceneRegistry::allLabels();
-    bool scenes_explicit = false;
+    std::vector<std::string> scenes; // empty = every scene it runs on
     std::vector<std::string> config_names = {"base", "coop"};
     core::ShaderKind shader = core::ShaderKind::PathTracing;
     int resolution = 0;
@@ -212,20 +113,8 @@ main(int argc, char **argv)
     double heartbeat_s = 0.0;
 
     auto set_scenes = [&](const std::string &list) {
-        if (list == "all")
-            return; // keeps the shader-dependent default axis
-        scenes_explicit = true;
-        scenes = splitList(list);
-        for (const auto &s : scenes)
-            if (!scene::SceneRegistry::has(s)) {
-                std::cerr << "error: unknown scene '" << s
-                          << "' (run simulate_cli --list)\n";
-                std::exit(2);
-            }
-        if (scenes.empty()) {
-            std::cerr << "error: empty scene list\n";
-            std::exit(2);
-        }
+        scenes = list == "all" ? std::vector<std::string>{}
+                               : cli::sceneList(list);
     };
     auto set_configs = [&](const std::string &list) {
         if (list == "all") {
@@ -234,136 +123,87 @@ main(int argc, char **argv)
                 config_names.push_back(c.name);
             return;
         }
-        config_names = splitList(list);
+        config_names = cli::splitList(list);
         for (const auto &c : config_names)
-            if (findConfig(c) == nullptr) {
-                std::cerr << "error: unknown config '" << c
-                          << "' (run --list-configs)\n";
-                std::exit(2);
-            }
-        if (config_names.empty()) {
-            std::cerr << "error: empty config list\n";
-            std::exit(2);
-        }
+            if (findConfig(c) == nullptr)
+                throw std::invalid_argument("unknown config '" + c +
+                                            "' (run --list-configs)");
+        if (config_names.empty())
+            throw std::invalid_argument("empty config list");
     };
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::cerr << flag << " needs a value\n";
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (a == "--help" || a == "-h") {
-            std::cout
-                << "usage: campaign_cli [--matrix S x C]\n"
-                   "  [--scenes a,b,c] [--configs c1,c2]\n"
-                   "  [--shader pt|ao|sh|knn|radius|contain]\n"
-                   "  [--resolution N]\n"
-                   "  [--jobs N] [--retries K] [--timeout-s T]\n"
-                   "  [--json-out FILE] [--report-dir DIR]\n"
-                   "  [--diff-baseline DIR --diff-out FILE]\n"
-                   "  [--metrics-dir DIR]\n"
-                   "  [--profile-dir DIR] [--ray-dir DIR]\n"
-                   "  [--ray-sample-k N] [--memscope-dir DIR]\n"
-                   "  [--telemetry-dir DIR] [--telemetry-log FILE]\n"
-                   "  [--heartbeat-s S] [--prom-out FILE]\n"
-                   "  [--csv] [--list-configs] [--version]\n";
-            return 0;
-        } else if (a == "--version") {
-            printVersion(std::cout);
-            return 0;
-        } else if (a == "--list-configs") {
-            for (const auto &c : kConfigs)
-                std::printf("%-12s %s\n", c.name, c.what);
-            return 0;
-        } else if (a == "--matrix") {
-            // "--matrix scenes x configs" (x or ×), e.g.
-            // "--matrix wknd,ship x base,coop".
-            const std::string s = next("--matrix");
-            if (i + 2 < argc && (std::string(argv[i + 1]) == "x" ||
-                                 std::string(argv[i + 1]) == "×")) {
-                set_scenes(s);
-                ++i; // the separator
-                set_configs(next("--matrix"));
-            } else {
-                return usage("--matrix wants 'SCENES x CONFIGS'");
-            }
-        } else if (a == "--scenes") {
-            set_scenes(next("--scenes"));
-        } else if (a == "--configs") {
-            set_configs(next("--configs"));
-        } else if (a == "--shader") {
-            const std::string s = next("--shader");
-            if (s == "pt")
-                shader = core::ShaderKind::PathTracing;
-            else if (s == "ao")
-                shader = core::ShaderKind::AmbientOcclusion;
-            else if (s == "sh")
-                shader = core::ShaderKind::Shadow;
-            else if (s == "knn")
-                shader = core::ShaderKind::QueryKnn;
-            else if (s == "radius")
-                shader = core::ShaderKind::QueryRadius;
-            else if (s == "contain")
-                shader = core::ShaderKind::QueryContain;
-            else
-                return usage(
-                    "unknown shader (pt|ao|sh|knn|radius|contain)");
-        } else if (a == "--resolution") {
-            resolution = std::atoi(next("--resolution"));
-        } else if (a == "--jobs") {
-            copt.jobs = std::atoi(next("--jobs"));
-        } else if (a == "--retries") {
-            copt.retries = std::atoi(next("--retries"));
-        } else if (a == "--timeout-s") {
-            copt.timeout_s = std::atof(next("--timeout-s"));
-        } else if (a == "--json-out") {
-            json_out = next("--json-out");
-        } else if (a == "--report-dir") {
-            copt.report_dir = next("--report-dir");
-        } else if (a == "--diff-baseline") {
-            diff_baseline = next("--diff-baseline");
-        } else if (a == "--diff-out") {
-            diff_out = next("--diff-out");
-        } else if (a == "--metrics-dir") {
-            copt.metrics_dir = next("--metrics-dir");
-        } else if (a == "--profile-dir") {
-            copt.profile_dir = next("--profile-dir");
-        } else if (a == "--ray-dir") {
-            copt.raytrace_dir = next("--ray-dir");
-        } else if (a == "--memscope-dir") {
-            copt.memscope_dir = next("--memscope-dir");
-        } else if (a == "--ray-sample-k") {
-            copt.ray_config.sample_k =
-                std::atoi(next("--ray-sample-k"));
-            if (copt.ray_config.sample_k <= 0)
-                return usage("--ray-sample-k wants a positive value");
-        } else if (a == "--telemetry-dir") {
-            copt.telemetry_dir = next("--telemetry-dir");
-        } else if (a == "--telemetry-log") {
-            telemetry_log = next("--telemetry-log");
-        } else if (a == "--heartbeat-s") {
-            heartbeat_s = std::atof(next("--heartbeat-s"));
-            if (heartbeat_s <= 0.0)
-                return usage("--heartbeat-s wants a positive value");
-        } else if (a == "--prom-out") {
-            prom_out = next("--prom-out");
-        } else if (a == "--csv") {
-            csv = true;
-        } else {
-            return usage("unknown flag " + a);
-        }
-    }
+    const cli::Command cmd{
+        .name = "campaign_cli",
+        .summary = "Run a scenes x configs matrix on the exec engine; "
+                   "the output is\nbyte-identical for every --jobs count.",
+        .flags = {
+            {"--matrix", "S x C", "same as --scenes S --configs C",
+             [&](const cli::Args &v) {
+                 if (v[1] != "x" && v[1] != "×")
+                     throw std::invalid_argument(
+                         "wants 'SCENES x CONFIGS'");
+                 set_scenes(v[0]);
+                 set_configs(v[2]);
+             }},
+            {"--scenes", "a,b,c", "scene axis (default all: every scene "
+                                  "of the shader's kind)",
+             [&](const cli::Args &v) { set_scenes(v[0]); }},
+            {"--configs", "c1,c2", "config axis (default base,coop)",
+             [&](const cli::Args &v) { set_configs(v[0]); }},
+            cli::shaderFlag(shader, "workload applied to every config"),
+            {"--resolution", "N", "square frame size (0: scene default)",
+             cli::number(resolution, 0)},
+            {"--jobs", "N", "worker threads (0: hardware concurrency)",
+             cli::number(copt.jobs, 0)},
+            {"--retries", "K", "extra attempts after a thrown failure",
+             cli::number(copt.retries, 0)},
+            {"--timeout-s", "T", "per-job wall-clock budget (0: none)",
+             cli::number(copt.timeout_s, 0.0)},
+            {"--json-out", "FILE", "append a JSON line per job (- stdout)",
+             cli::store(json_out)},
+            {"--report-dir", "DIR", "per-job <tag>.report.json run reports",
+             cli::store(copt.report_dir)},
+            {"--metrics-dir", "DIR", "per-job metrics CSV",
+             cli::store(copt.metrics_dir)},
+            {"--profile-dir", "DIR", "per-job folded + JSON stall profiles",
+             cli::store(copt.profile_dir)},
+            {"--ray-dir", "DIR", "per-job ray-provenance stats JSON",
+             cli::store(copt.raytrace_dir)},
+            {"--ray-sample-k", "N", "rays per warp for --ray-dir (default 4)",
+             cli::positive(copt.ray_config.sample_k)},
+            {"--memscope-dir", "DIR", "per-job memscope JSON + folded stacks",
+             cli::store(copt.memscope_dir)},
+            {"--csv", "", "CSV summary table", cli::enable(csv)},
+            {"--list-configs", "", "list named configs and exit",
+             [](const cli::Args &) {
+                 for (const auto &c : kConfigs)
+                     std::printf("%-12s %s\n", c.name, c.what);
+                 std::exit(0);
+             }},
+            cli::versionFlag("campaign_cli"),
+            {"--diff-baseline", "DIR", "diff jobs against DIR's reports",
+             cli::store(diff_baseline)},
+            {"--diff-out", "FILE", "per-job diff JSON lines (- stdout)",
+             cli::store(diff_out)},
+            {"--telemetry-dir", "DIR", "per-job telemetry JSON",
+             cli::store(copt.telemetry_dir)},
+            {"--telemetry-log", "FILE", "campaign lifecycle event log",
+             cli::store(telemetry_log)},
+            {"--heartbeat-s", "S", "live stderr status every S > 0 s",
+             cli::positive(heartbeat_s)},
+            {"--prom-out", "FILE", "Prometheus snapshot of the counters",
+             cli::store(prom_out)},
+        }};
+    cli::parse(cmd, argc, argv);
 
     // The diff sink is a gate: refuse to start a campaign whose
     // comparison target cannot exist, so "regressed" (exit 1 from a
     // downstream gate) stays distinguishable from "not comparable"
     // (exit 2 here, before any job has run).
     if (diff_baseline.empty() != diff_out.empty())
-        return usage("--diff-baseline and --diff-out go together");
+        return cli::usageError(cmd.name,
+                               "--diff-baseline and --diff-out go "
+                               "together");
     if (!diff_baseline.empty() &&
         !std::filesystem::is_directory(diff_baseline)) {
         std::cerr << "error: --diff-baseline " << diff_baseline
@@ -372,19 +212,29 @@ main(int argc, char **argv)
         return 2;
     }
 
-    // Query shaders only run on query scenes, so when the scene axis
-    // was left at its default (or given as "all"), resolve it to the
-    // query scenes whose kind matches the workload.
-    if (core::isQueryShader(shader) && !scenes_explicit) {
-        const scene::SceneKind need =
-            shader == core::ShaderKind::QueryContain
-                ? scene::SceneKind::AmrCells
-                : scene::SceneKind::PointCloud;
-        scenes.clear();
-        for (const auto &l : scene::SceneRegistry::queryLabels())
-            if (scene::SceneRegistry::get(l).kind == need)
-                scenes.push_back(l);
-    }
+    // The default (or "all") scene axis is every scene the shader
+    // runs on.
+    if (scenes.empty())
+        scenes = scene::SceneRegistry::labelsOfKind(
+            core::sceneKindFor(shader));
+
+    // Every (scene, config) pair is checked before any job starts, so
+    // a bad matrix is a usage error, not a failed campaign.
+    std::vector<exec::Job> jobs;
+    for (const auto &label : scenes)
+        for (const auto &cname : config_names) {
+            core::RunConfig cfg;
+            findConfig(cname)->apply(cfg);
+            cfg.shader = shader;
+            cfg.resolution = resolution;
+            try {
+                cfg.validate(scene::SceneRegistry::get(label));
+            } catch (const std::invalid_argument &e) {
+                return cli::usageError(cmd.name, label + "/" + cname +
+                                                     ": " + e.what());
+            }
+            jobs.push_back(exec::Job{label, cfg, label + "/" + cname});
+        }
 
     // The campaign's own observability: exec.* counters live in this
     // session's registry and are printed with the summary. The diff
@@ -433,15 +283,8 @@ main(int argc, char **argv)
     };
 
     exec::Campaign campaign(copt);
-    for (const auto &label : scenes)
-        for (const auto &cname : config_names) {
-            core::RunConfig cfg;
-            findConfig(cname)->apply(cfg);
-            cfg.shader = shader;
-            cfg.resolution = resolution;
-            campaign.add(
-                exec::Job{label, cfg, label + "/" + cname});
-        }
+    for (auto &job : jobs)
+        campaign.add(std::move(job));
 
     std::vector<exec::JobResult> results;
     {

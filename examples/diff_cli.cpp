@@ -22,52 +22,18 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "core/build_info.hpp"
+#include "core/cli.hpp"
 #include "diff/diff.hpp"
 
 namespace {
 
-int
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: diff_cli [options] <base> <other> [<other>...]\n"
-        "\n"
-        "  <base>/<other>   run-report JSON files (simulate_cli\n"
-        "                   --json, campaign_cli --report-dir) or\n"
-        "                   two directories of *.report.json\n"
-        "\n"
-        "options:\n"
-        "  --json FILE|-    write the diff(s) as JSON lines\n"
-        "  --markdown FILE  write a markdown export\n"
-        "  --quiet          suppress the stdout tables\n"
-        "  --version        print build provenance and exit\n"
-        "\n"
-        "exit: 0 = diffed; 2 = bad usage, unreadable input or\n"
-        "      run-key mismatch\n");
-    return 2;
-}
-
-void
-printVersion(std::ostream &os)
-{
-    os << "cooprt diff_cli\n"
-       << "  revision:   " << cooprt::build::kGitRevision
-       << (cooprt::build::kGitDirty ? " (dirty)" : "") << "\n"
-       << "  compiler:   " << cooprt::build::kCompiler << "\n"
-       << "  build type: " << cooprt::build::kBuildType << "\n"
-       << "  check:      "
-       << (cooprt::build::kCheckEnabled ? "on" : "off") << "\n"
-       << "  schema:     v" << cooprt::trace::kSchemaVersion << "\n";
-}
+namespace cli = cooprt::cli;
 
 /** Report-file pair to diff (dir mode pairs files by name). */
 struct Pair
@@ -146,44 +112,32 @@ main(int argc, char **argv)
     bool quiet = false;
     std::vector<std::string> inputs;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "[diff] %s needs a value\n",
-                             flag);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--json")
-            json_out = next("--json");
-        else if (arg == "--markdown")
-            markdown_out = next("--markdown");
-        else if (arg == "--quiet")
-            quiet = true;
-        else if (arg == "--version") {
-            printVersion(std::cout);
-            return 0;
-        } else if (arg == "--help" || arg == "-h") {
-            return usage();
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr, "[diff] unknown flag '%s'\n",
-                         arg.c_str());
-            return usage();
-        } else {
-            inputs.push_back(arg);
-        }
-    }
+    const cli::Command cmd{
+        .name = "diff_cli",
+        .summary = "Diff run reports (simulate_cli --json, campaign_cli "
+                   "--report-dir)\nor two directories of *.report.json; "
+                   "the first input is the base.\nExit 0 = diffed; 2 = "
+                   "bad usage, unreadable input or run-key mismatch.",
+        .flags = {
+            {"--json", "FILE|-", "write the diff(s) as JSON lines",
+             cli::store(json_out)},
+            {"--markdown", "FILE", "write a markdown export",
+             cli::store(markdown_out)},
+            {"--quiet", "", "suppress the stdout tables",
+             cli::enable(quiet)},
+            cli::versionFlag("diff_cli"),
+        },
+        .positionals = "<base> <other> [<other>...]",
+        .positional = [&](const std::string &arg) { inputs.push_back(arg); },
+    };
+    cli::parse(cmd, argc, argv);
     if (inputs.size() < 2)
-        return usage();
+        return cli::usageError(cmd.name, "need a base and at least one "
+                                         "other input");
     if (inputs.size() > 2 &&
-        std::filesystem::is_directory(inputs[0])) {
-        std::fprintf(stderr,
-                     "[diff] directory mode takes exactly two "
-                     "directories\n");
-        return 2;
-    }
+        std::filesystem::is_directory(inputs[0]))
+        return cli::usageError(cmd.name, "directory mode takes exactly "
+                                         "two directories");
 
     // N-way: the first input anchors, every later one diffs against
     // it. Directory inputs expand to name-aligned file pairs.
@@ -243,7 +197,7 @@ main(int argc, char **argv)
         }
         if (!quiet) {
             if (first) {
-                printVersion(std::cout);
+                cli::printVersion(cmd.name, std::cout);
                 std::cout << "\n";
             } else {
                 std::cout << "\n";

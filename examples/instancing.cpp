@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "bvh/tlas.hpp"
+#include "core/cli.hpp"
 #include "core/simulation.hpp"
 #include "geom/rng.hpp"
 #include "scene/generators.hpp"
@@ -22,7 +23,7 @@ main(int argc, char **argv)
 {
     using namespace cooprt;
 
-    const int count = argc > 1 ? std::atoi(argv[1]) : 60;
+    const int count = argc > 1 ? cli::argNumber("instances", argv[1], 1) : 60;
 
     // 1. One detailed tree as the bottom-level structure.
     scene::Scene proto = scene::makeTreeScene("tree", 7, 120);

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <string>
 
+#include "core/cli.hpp"
 #include "core/simulation.hpp"
 
 int
@@ -23,9 +24,9 @@ main(int argc, char **argv)
     using namespace cooprt;
 
     const std::string label = argc > 1 ? argv[1] : "spnza";
-    const int res = argc > 2 ? std::atoi(argv[2]) : 96;
-    const int spp = argc > 3 ? std::atoi(argv[3]) : 4;
-    if (!scene::SceneRegistry::has(label) || res <= 0 || spp <= 0) {
+    const int res = argc > 2 ? cli::argNumber("resolution", argv[2], 1) : 96;
+    const int spp = argc > 3 ? cli::argNumber("spp", argv[3], 1) : 4;
+    if (!scene::SceneRegistry::has(label)) {
         std::fprintf(stderr,
                      "usage: render_image [scene] [resolution] [spp]\n");
         return 1;

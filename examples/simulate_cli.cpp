@@ -8,104 +8,20 @@
  *   ./simulate_cli --scene spnza --shader ao --resolution 64
  *   ./simulate_cli --list
  *
- * Flags:
- *   --scene <label>       scene to simulate (default crnvl; query
- *                         shaders default to ptsu / amrs instead)
- *   --shader pt|ao|sh|knn|radius|contain
- *                         workload (default pt). knn/radius run
- *                         nearest-neighbor / fixed-radius search over
- *                         point-cloud scenes; contain runs point
- *                         containment over AMR scenes (src/query/)
- *   --resolution N        square frame size (default: scene's bench)
- *   --coop                enable CoopRT
- *   --subwarp N           CoopRT helper scope (4/8/16/32)
- *   --warp-buffer N       RT warp-buffer entries
- *   --prefetch            treelet-style child prefetch
- *   --predictor           intersection predictor
- *   --bfs                 BFS traversal order
- *   --mobile              mobile GPU configuration
- *   --bounces N           path-tracing bounce limit
- *   --query-k N           k for the knn workload (default 4)
- *   --query-radius R      search radius for the radius workload
- *   --query-steps N       locate-advect rounds for contain
- *   --no-oracle           skip the brute-force oracle cross-check
- *                         that query runs perform by default
- *   --json                emit a JSON report instead of text
- *   --list                list scene labels and exit
- *   --version             print build provenance (git revision,
- *                         compiler, COOPRT_CHECK) and exit
- *
- * Observability (see DESIGN.md "Observability" and src/trace/):
- *   --trace FILE          write Chrome trace_event JSON (open in
- *                         chrome://tracing or https://ui.perfetto.dev)
- *   --metrics FILE        write the sampled metric time-series CSV
- *   --trace-filter PAT    restrict events/metric columns, e.g.
- *                         "rtunit.*" or "mem.l2.*,rtunit.sm0.*"
- *   --trace-capacity N    event ring-buffer capacity (default 1M)
- *
- * Stall-attribution profiling (see DESIGN.md "Profiling" / src/prof/):
- *   --profile             collect the warp stall taxonomy and print a
- *                         per-bucket summary (adds a "prof" object to
- *                         --json reports)
- *   --profile-out FILE    write folded flamegraph stacks, one
- *                         `scene;sm<i>;rtunit;<bucket> N` line each —
- *                         pipe into flamegraph.pl or load in
- *                         speedscope (implies --profile)
- *   --profile-json FILE   write the hierarchical JSON profile
- *                         (implies --profile)
- *
- * Ray-level provenance tracing (DESIGN.md "Ray provenance" /
- * src/raytrace/):
- *   --ray-trace           sample K rays per warp, record their
- *                         lifecycle events and print the per-SM
- *                         critical-path attribution (adds a "ray"
- *                         object to --json reports; sampled rays get
- *                         their own tracks in --trace exports)
- *   --ray-sample-k N      rays sampled per warp (default 4; implies
- *                         --ray-trace)
- *   --ray-out FILE        write the per-ray statistics summary —
- *                         JSON, or CSV when FILE ends in ".csv"
- *                         (implies --ray-trace)
- *
- * Memory & BVH-topology profiling (DESIGN.md "Memscope" /
- * src/memscope/):
- *   --memscope            tag every node fetch with node id, tree
- *                         depth and serving level; print per-depth
- *                         miss/divergence rows and the hot-node table
- *                         (adds a "memscope" object to --json reports
- *                         and memscope counter tracks to --trace)
- *   --memscope-out FILE   write folded `scene;depth<d>;node<id> N`
- *                         stacks for flamegraph.pl / speedscope
- *                         (implies --memscope)
- *   --memscope-json FILE  write the hierarchical JSON memscope
- *                         profile (implies --memscope)
- *
- * Host-side telemetry (DESIGN.md "Telemetry" / src/telemetry/):
- *   --telemetry           record phase-scoped wall-clock spans
- *                         (scene load, BVH build, warmup, sim loop,
- *                         report), derived throughput (cycles/sec,
- *                         rays/sec) and RSS; print a summary line.
- *                         Unlike the observers above this measures
- *                         the simulator process, not the simulated
- *                         GPU; simulated results stay bit-identical.
- *   --telemetry-out FILE  write the per-run telemetry JSON sink —
- *                         deterministic "sim" fields plus a "host"
- *                         object with the wall-clock/RSS fields
- *                         (implies --telemetry)
- *   --heartbeat-s S       print a live progress line (simulated
- *                         cycle, rays retired, RSS) to stderr every
- *                         S seconds while the run executes; S must
- *                         be positive (implies --telemetry)
+ * `--help` lists every flag, generated from the table in main(). A
+ * file flag of an observer implies it (e.g. --profile-out implies
+ * --profile); the observers are described in DESIGN.md:
+ * "Observability" (--trace, --metrics), "Profiling", "Ray provenance",
+ * "Memscope" and "Telemetry".
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 
 #include <optional>
 
-#include "core/build_info.hpp"
+#include "core/cli.hpp"
 #include "core/report.hpp"
 #include "core/simulation.hpp"
 #include "memscope/memscope.hpp"
@@ -113,32 +29,6 @@
 #include "raytrace/raytrace.hpp"
 #include "telemetry/telemetry.hpp"
 #include "trace/session.hpp"
-
-namespace {
-
-int
-usage(const char *msg = nullptr)
-{
-    if (msg)
-        std::cerr << "error: " << msg << "\n";
-    std::cerr << "see the header of simulate_cli.cpp or run --help\n";
-    return 2;
-}
-
-void
-printVersion(std::ostream &os)
-{
-    os << "cooprt simulate_cli\n"
-       << "  revision:   " << cooprt::build::kGitRevision
-       << (cooprt::build::kGitDirty ? " (dirty)" : "") << "\n"
-       << "  compiler:   " << cooprt::build::kCompiler << "\n"
-       << "  build type: " << cooprt::build::kBuildType << "\n"
-       << "  check:      "
-       << (cooprt::build::kCheckEnabled ? "on" : "off") << "\n"
-       << "  schema:     v" << cooprt::trace::kSchemaVersion << "\n";
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -165,180 +55,115 @@ main(int argc, char **argv)
     trace::SessionOptions trace_opt;
     raytrace::RecorderConfig ray_cfg;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::cerr << flag << " needs a value\n";
-                std::exit(2);
-            }
-            return argv[++i];
+    // A file flag stores its path and switches its observer on.
+    auto file = [](std::string &path, bool &on) -> cli::Setter {
+        return [&path, &on](const cli::Args &v) {
+            path = v[0];
+            on = true;
         };
-        if (a == "--version") {
-            printVersion(std::cout);
-            return 0;
-        } else if (a == "--list") {
-            for (const auto &l : scene::SceneRegistry::allLabels())
-                std::cout << l << "\n";
-            for (const auto &l : scene::SceneRegistry::queryLabels())
-                std::cout << l << "\n";
-            return 0;
-        } else if (a == "--help" || a == "-h") {
-            std::cout <<
-                "usage: simulate_cli [--scene L]\n"
-                "  [--shader pt|ao|sh|knn|radius|contain]\n"
-                "  [--resolution N] [--coop] [--subwarp N]\n"
-                "  [--warp-buffer N] [--prefetch] [--predictor]\n"
-                "  [--bfs] [--mobile] [--bounces N]\n"
-                "  [--query-k N] [--query-radius R] [--query-steps N]\n"
-                "  [--no-oracle] [--json] [--list] [--version]\n"
-                "  [--trace FILE] [--metrics FILE]\n"
-                "  [--trace-filter PAT] [--trace-capacity N]\n"
-                "  [--profile] [--profile-out FILE]\n"
-                "  [--profile-json FILE]\n"
-                "  [--ray-trace] [--ray-sample-k N] [--ray-out FILE]\n"
-                "  [--memscope] [--memscope-out FILE]\n"
-                "  [--memscope-json FILE]\n"
-                "  [--telemetry] [--telemetry-out FILE]\n"
-                "  [--heartbeat-s S]\n";
-            return 0;
-        } else if (a == "--scene") {
-            scene_label = next("--scene");
-            scene_explicit = true;
-        } else if (a == "--shader") {
-            const std::string s = next("--shader");
-            if (s == "pt")
-                cfg.shader = core::ShaderKind::PathTracing;
-            else if (s == "ao")
-                cfg.shader = core::ShaderKind::AmbientOcclusion;
-            else if (s == "sh")
-                cfg.shader = core::ShaderKind::Shadow;
-            else if (s == "knn")
-                cfg.shader = core::ShaderKind::QueryKnn;
-            else if (s == "radius")
-                cfg.shader = core::ShaderKind::QueryRadius;
-            else if (s == "contain")
-                cfg.shader = core::ShaderKind::QueryContain;
-            else
-                return usage(
-                    "unknown shader (pt|ao|sh|knn|radius|contain)");
-        } else if (a == "--resolution") {
-            cfg.resolution = std::atoi(next("--resolution"));
-        } else if (a == "--coop") {
-            cfg.gpu.trace.coop = true;
-        } else if (a == "--subwarp") {
-            cfg.gpu.trace.subwarp_size = std::atoi(next("--subwarp"));
-        } else if (a == "--warp-buffer") {
-            cfg.gpu.trace.warp_buffer_entries =
-                std::atoi(next("--warp-buffer"));
-        } else if (a == "--prefetch") {
-            cfg.gpu.trace.child_prefetch = true;
-        } else if (a == "--predictor") {
-            cfg.gpu.trace.intersection_predictor = true;
-        } else if (a == "--bfs") {
-            cfg.gpu.trace.order = rtunit::TraversalOrder::Bfs;
-        } else if (a == "--mobile") {
-            cfg.gpu = gpu::GpuConfig::mobileBench();
-        } else if (a == "--bounces") {
-            cfg.pt.max_bounces = std::atoi(next("--bounces"));
-        } else if (a == "--query-k") {
-            cfg.query.k = std::atoi(next("--query-k"));
-            if (cfg.query.k <= 0)
-                return usage("--query-k needs a positive value");
-        } else if (a == "--query-radius") {
-            cfg.query.radius =
-                float(std::atof(next("--query-radius")));
-            if (cfg.query.radius <= 0.0f)
-                return usage("--query-radius needs a positive value");
-        } else if (a == "--query-steps") {
-            cfg.query.steps = std::atoi(next("--query-steps"));
-            if (cfg.query.steps <= 0)
-                return usage("--query-steps needs a positive value");
-        } else if (a == "--no-oracle") {
-            cfg.query.verify = false;
-        } else if (a == "--json") {
-            json = true;
-        } else if (a == "--trace") {
-            trace_path = next("--trace");
-            trace_opt.events = true;
-        } else if (a == "--metrics") {
-            metrics_path = next("--metrics");
-            trace_opt.metrics = true;
-        } else if (a == "--trace-filter") {
-            trace_opt.filter = next("--trace-filter");
-        } else if (a == "--trace-capacity") {
-            trace_opt.ring_capacity =
-                std::size_t(std::atoll(next("--trace-capacity")));
-        } else if (a == "--profile") {
-            profile = true;
-        } else if (a == "--profile-out") {
-            profile_folded_path = next("--profile-out");
-            profile = true;
-        } else if (a == "--profile-json") {
-            profile_json_path = next("--profile-json");
-            profile = true;
-        } else if (a == "--ray-trace") {
-            ray_trace = true;
-        } else if (a == "--ray-sample-k") {
-            ray_cfg.sample_k = std::atoi(next("--ray-sample-k"));
-            ray_trace = true;
-        } else if (a == "--ray-out") {
-            ray_out_path = next("--ray-out");
-            ray_trace = true;
-        } else if (a == "--memscope") {
-            memscope_on = true;
-        } else if (a == "--memscope-out") {
-            memscope_folded_path = next("--memscope-out");
-            memscope_on = true;
-        } else if (a == "--memscope-json") {
-            memscope_json_path = next("--memscope-json");
-            memscope_on = true;
-        } else if (a == "--telemetry") {
-            telemetry_on = true;
-        } else if (a == "--telemetry-out") {
-            telemetry_out_path = next("--telemetry-out");
-            telemetry_on = true;
-        } else if (a == "--heartbeat-s") {
-            heartbeat_s = std::atof(next("--heartbeat-s"));
-            if (heartbeat_s <= 0.0)
-                return usage("--heartbeat-s needs a positive value");
-            telemetry_on = true;
-        } else {
-            return usage(("unknown flag " + a).c_str());
-        }
-    }
+    };
+    auto set = [](auto fn) -> cli::Setter {
+        return [fn](const cli::Args &) { fn(); };
+    };
+    const cli::Command cmd{
+        .name = "simulate_cli",
+        .summary = "Simulate one scene under one configuration; print "
+                   "text or JSON.",
+        .flags = {
+            {"--scene", "L", "scene (default crnvl; ptsu/amrs for queries)",
+             [&](const cli::Args &v) {
+                 if (!scene::SceneRegistry::has(v[0]))
+                     throw std::invalid_argument("unknown scene '" + v[0] +
+                                                 "' (see --list)");
+                 scene_label = v[0];
+                 scene_explicit = true;
+             }},
+            cli::shaderFlag(cfg.shader, "workload (default pt)"),
+            {"--resolution", "N", "square frame size (0: scene default)",
+             cli::number(cfg.resolution, 0)},
+            {"--coop", "", "enable CoopRT", cli::enable(cfg.gpu.trace.coop)},
+            {"--subwarp", "N", "CoopRT helper scope (4/8/16/32)",
+             cli::number(cfg.gpu.trace.subwarp_size, 1)},
+            {"--warp-buffer", "N", "RT warp-buffer entries (1-64)",
+             cli::number(cfg.gpu.trace.warp_buffer_entries, 1)},
+            {"--prefetch", "", "treelet-style child prefetch",
+             cli::enable(cfg.gpu.trace.child_prefetch)},
+            {"--predictor", "", "intersection predictor",
+             cli::enable(cfg.gpu.trace.intersection_predictor)},
+            {"--bfs", "", "BFS traversal order", set([&] {
+                 cfg.gpu.trace.order = rtunit::TraversalOrder::Bfs;
+             })},
+            {"--mobile", "", "mobile GPU (replaces earlier GPU flags)",
+             set([&] { cfg.gpu = gpu::GpuConfig::mobileBench(); })},
+            {"--bounces", "N", "path-tracing bounce limit",
+             cli::number(cfg.pt.max_bounces, 0)},
+            {"--query-k", "N", "k for knn (default 4)",
+             cli::positive(cfg.query.k)},
+            {"--query-radius", "R", "search radius for radius",
+             cli::positive(cfg.query.radius)},
+            {"--query-steps", "N", "locate-advect rounds for contain",
+             cli::positive(cfg.query.steps)},
+            {"--no-oracle", "", "skip the query brute-force cross-check",
+             set([&] { cfg.query.verify = false; })},
+            {"--json", "", "emit a JSON report instead of text",
+             cli::enable(json)},
+            {"--list", "", "list scene labels and exit", set([] {
+                 for (const auto &l : scene::SceneRegistry::allLabels())
+                     std::cout << l << "\n";
+                 for (const auto &l : scene::SceneRegistry::queryLabels())
+                     std::cout << l << "\n";
+                 std::exit(0);
+             })},
+            cli::versionFlag("simulate_cli"),
+            {"--trace", "FILE", "write a Chrome trace_event JSON",
+             file(trace_path, trace_opt.events)},
+            {"--metrics", "FILE", "write the sampled metrics CSV",
+             file(metrics_path, trace_opt.metrics)},
+            {"--trace-filter", "PAT", "event/metric filter, e.g. rtunit.*",
+             cli::store(trace_opt.filter)},
+            {"--trace-capacity", "N", "event ring capacity (default 1M)",
+             cli::number(trace_opt.ring_capacity, std::size_t(1))},
+            {"--profile", "", "print the warp stall taxonomy",
+             cli::enable(profile)},
+            {"--profile-out", "FILE", "folded stall flamegraph stacks",
+             file(profile_folded_path, profile)},
+            {"--profile-json", "FILE", "hierarchical JSON stall profile",
+             file(profile_json_path, profile)},
+            {"--ray-trace", "", "sample rays, print the critical path",
+             cli::enable(ray_trace)},
+            {"--ray-sample-k", "N", "rays sampled per warp (default 4)",
+             [&](const cli::Args &v) {
+                 ray_cfg.sample_k = cli::parsePositive<int>(v[0]);
+                 ray_trace = true;
+             }},
+            {"--ray-out", "FILE", "per-ray stats, CSV if FILE ends .csv",
+             file(ray_out_path, ray_trace)},
+            {"--memscope", "", "per-depth and hot-node fetch profile",
+             cli::enable(memscope_on)},
+            {"--memscope-out", "FILE", "folded depth/node fetch stacks",
+             file(memscope_folded_path, memscope_on)},
+            {"--memscope-json", "FILE", "JSON memscope profile",
+             file(memscope_json_path, memscope_on)},
+            {"--telemetry", "", "host phase spans, throughput and RSS",
+             cli::enable(telemetry_on)},
+            {"--telemetry-out", "FILE", "per-run telemetry JSON sink",
+             file(telemetry_out_path, telemetry_on)},
+            {"--heartbeat-s", "S", "live stderr progress every S > 0 s",
+             [&](const cli::Args &v) {
+                 heartbeat_s = cli::parsePositive<double>(v[0]);
+                 telemetry_on = true;
+             }},
+        }};
+    cli::parse(cmd, argc, argv);
 
-    // Query workloads need a query scene; when the user didn't pick
-    // one, swap the rendering default for the matching query default
-    // (point cloud for knn/radius, AMR hierarchy for contain).
     if (core::isQueryShader(cfg.shader) && !scene_explicit)
-        scene_label = cfg.shader == core::ShaderKind::QueryContain
-                          ? "amrs"
-                          : "ptsu";
-    if (!scene::SceneRegistry::has(scene_label))
-        return usage(("unknown scene " + scene_label).c_str());
-    if (core::isQueryShader(cfg.shader)) {
-        const auto kind = scene::SceneRegistry::get(scene_label).kind;
-        const bool want_amr =
-            cfg.shader == core::ShaderKind::QueryContain;
-        if (kind != (want_amr ? scene::SceneKind::AmrCells
-                              : scene::SceneKind::PointCloud))
-            return usage((std::string("query shaders need a ") +
-                          (want_amr ? "cell (amr*)"
-                                    : "point-cloud (pts*)") +
-                          " scene, got '" + scene_label + "'")
-                             .c_str());
-    } else if (scene::SceneRegistry::get(scene_label).kind !=
-               scene::SceneKind::Triangles) {
-        return usage(("rendering shaders need a triangle scene; '" +
-                      scene_label + "' is a query scene (use "
-                      "--shader knn/radius/contain)")
-                         .c_str());
-    }
+        scene_label = scene::SceneRegistry::labelsOfKind(
+                          core::sceneKindFor(cfg.shader))
+                          .front();
     try {
-        cfg.gpu.trace.validate();
-    } catch (const std::exception &e) {
-        return usage(e.what());
+        cfg.validate(scene::SceneRegistry::get(scene_label));
+    } catch (const std::invalid_argument &e) {
+        return cli::usageError(cmd.name, e.what());
     }
 
     // The session outlives the run; metrics sampling shares the
@@ -351,8 +176,6 @@ main(int argc, char **argv)
     prof::Profiler profiler;
     if (profile)
         cfg.profiler = &profiler;
-    if (ray_trace && ray_cfg.sample_k <= 0)
-        return usage("--ray-sample-k needs a positive value");
     raytrace::Recorder ray(ray_cfg);
     if (ray_trace)
         cfg.ray_recorder = &ray;

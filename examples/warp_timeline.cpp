@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <string>
 
+#include "core/cli.hpp"
 #include "core/simulation.hpp"
 
 int
@@ -21,11 +22,12 @@ main(int argc, char **argv)
     using namespace cooprt;
 
     const std::string label = argc > 1 ? argv[1] : "bath";
-    const int columns = argc > 2 ? std::atoi(argv[2]) : 100;
+    const int columns = argc > 2 ? cli::argNumber("columns", argv[2], 10)
+                                 : 100;
     // Skip past the coherent primary traces to a divergent late
     // bounce, like the paper's Fig. 11 warp.
-    const int skip = argc > 3 ? std::atoi(argv[3]) : 40;
-    if (!scene::SceneRegistry::has(label) || columns < 10) {
+    const int skip = argc > 3 ? cli::argNumber("skip", argv[3], 0) : 40;
+    if (!scene::SceneRegistry::has(label)) {
         std::fprintf(stderr,
                      "usage: warp_timeline [scene] [columns] [skip]\n");
         return 1;

@@ -28,6 +28,14 @@ shaderToken(ShaderKind k)
     return "?";
 }
 
+scene::SceneKind
+sceneKindFor(ShaderKind k)
+{
+    return k == ShaderKind::QueryContain ? scene::SceneKind::AmrCells
+           : isQueryShader(k)            ? scene::SceneKind::PointCloud
+                                         : scene::SceneKind::Triangles;
+}
+
 namespace {
 
 /**
@@ -170,18 +178,52 @@ RunConfig::fingerprint() const
     return f.value();
 }
 
-cooprt::trace::RunKeyFields
-makeRunKey(const RunConfig &config, const std::string &scene,
-           int resolved_resolution)
+void
+RunConfig::validate(const scene::Scene &scene) const
 {
+    auto require = [](bool ok, const std::string &what, auto got) {
+        if (!ok)
+            throw std::invalid_argument(what + ", got " +
+                                        std::to_string(got));
+    };
+    // Indexed by scene::SceneKind.
+    const char *const kinds[] = {"triangle", "point-cloud", "AMR cell"};
+    if (scene.kind != sceneKindFor(shader))
+        throw std::invalid_argument(
+            std::string("shader '") + shaderToken(shader) + "' needs a " +
+            kinds[int(sceneKindFor(shader))] + " scene; '" + scene.name +
+            "' is a " + kinds[int(scene.kind)] + " scene");
+    gpu.trace.validate();
+    require(resolution >= 0, "resolution must be >= 0 (0 = the scene's "
+                             "default)", resolution);
+    require(pt.max_bounces >= 0, "pt.max_bounces must be >= 0",
+            pt.max_bounces);
+    require(query.k > 0, "query.k must be positive", query.k);
+    require(query.radius > 0.0f, "query.radius must be positive",
+            query.radius);
+    require(query.steps > 0, "query.steps must be positive", query.steps);
+}
+
+RunConfig
+RunConfig::resolved(const scene::Scene &scene) const
+{
+    RunConfig r = *this;
+    if (r.resolution == 0)
+        r.resolution = scene.default_resolution;
+    return r;
+}
+
+cooprt::trace::RunKeyFields
+makeRunKey(const RunConfig &config, const scene::Scene &scene)
+{
+    const RunConfig r = config.resolved(scene);
     cooprt::trace::RunKeyFields key;
-    key.scene = scene;
-    key.shader = shaderToken(config.shader);
-    key.resolution = resolved_resolution;
+    key.scene = scene.name;
+    key.shader = shaderToken(r.shader);
+    key.resolution = r.resolution;
     char buf[24];
     std::snprintf(buf, sizeof(buf), "0x%016llx",
-                  static_cast<unsigned long long>(
-                      config.fingerprint()));
+                  static_cast<unsigned long long>(r.fingerprint()));
     key.fingerprint = buf;
     return key;
 }
@@ -205,9 +247,8 @@ Simulation::run(const RunConfig &config, shaders::Film *film,
                 stats::TimelineRecorder *timeline,
                 int timeline_skip) const
 {
-    const int res = config.resolution > 0
-                        ? config.resolution
-                        : scene_.default_resolution;
+    config.validate(scene_);
+    const int res = config.resolved(scene_).resolution;
 
     if (config.telemetry != nullptr) {
         config.telemetry->reset();
@@ -275,7 +316,7 @@ Simulation::run(const RunConfig &config, shaders::Film *film,
     RunOutcome out;
     out.scene = scene_.name;
     out.resolution = res;
-    out.run_key = makeRunKey(config, scene_.name, res);
+    out.run_key = makeRunKey(config, scene_);
     // Stamp the key onto the attached observers so every sink they
     // later export carries the same identity block. setRunKey is
     // metadata-only and does not perturb the observers' collected

@@ -59,10 +59,21 @@ isQueryShader(ShaderKind k)
            k == ShaderKind::QueryContain;
 }
 
+/** Every ShaderKind, in declaration order. */
+inline constexpr ShaderKind kShaderKinds[] = {
+    ShaderKind::PathTracing, ShaderKind::AmbientOcclusion,
+    ShaderKind::Shadow,      ShaderKind::QueryKnn,
+    ShaderKind::QueryRadius, ShaderKind::QueryContain,
+};
+
 /** Stable CLI token for @p k (pt|ao|sh|knn|radius|contain) — the
  *  same spelling every CLI's --shader flag accepts, and the spelling
  *  run keys are stamped with. */
 const char *shaderToken(ShaderKind k);
+
+/** The scene kind @p k runs on: triangles for the rendering shaders,
+ *  point clouds for knn/radius, AMR cells for contain. */
+scene::SceneKind sceneKindFor(ShaderKind k);
 
 /** Everything configurable about one simulation run. */
 struct RunConfig
@@ -145,17 +156,30 @@ struct RunConfig
      * so it must not change the identity either). Two RunConfigs with
      * equal fingerprints produce bit-identical simulated outcomes on
      * the same scene; the fingerprint is stamped into every report/
-     * sink as part of the run key (DESIGN.md section 18).
+     * sink as part of the run key (DESIGN.md section 18), always over
+     * the `resolved()` config.
      */
     std::uint64_t fingerprint() const;
+
+    /**
+     * Throw std::invalid_argument unless this config can run on
+     * @p scene: the shader matches the scene kind, the RT-unit config
+     * passes `TraceConfig::validate()`, `resolution` and
+     * `pt.max_bounces` are non-negative and the query k, radius and
+     * steps are positive. `Simulation::run` calls it first.
+     */
+    void validate(const scene::Scene &scene) const;
+
+    /** This config with `resolution` 0 replaced by @p scene's bench
+     *  default, so configs that run identically hash identically. */
+    RunConfig resolved(const scene::Scene &scene) const;
 };
 
 /** The run key `Simulation::run` stamps into outcomes and attached
  *  observers: scene + shader token + resolved resolution +
- *  fingerprint (see trace::RunKeyFields). */
+ *  fingerprint of the resolved config (see trace::RunKeyFields). */
 cooprt::trace::RunKeyFields makeRunKey(const RunConfig &config,
-                                       const std::string &scene,
-                                       int resolved_resolution);
+                                       const scene::Scene &scene);
 
 /** The result of one run: timing, power and all collected stats. */
 struct RunOutcome
@@ -205,7 +229,8 @@ class Simulation
     bvh::TreeStats treeStats() const { return flat_.stats(); }
 
     /**
-     * Run one configuration.
+     * Run one configuration; throws std::invalid_argument when
+     * `config.validate(scene())` does.
      *
      * @param film          Optional output image.
      * @param timeline      Optional Fig.-11 per-thread timeline

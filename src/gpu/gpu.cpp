@@ -1,5 +1,6 @@
 #include "gpu/gpu.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -265,6 +266,10 @@ Gpu::run(const std::vector<WarpProgram *> &programs,
             audit_rt.coalesced_threads += rs.coalesced_threads;
             audit_rt.stale_pops += rs.stale_pops;
             audit_rt.stack_overflows += rs.stack_overflows;
+            audit_rt.retired_warps += rs.retired_warps;
+            audit_rt.retired_trace_latency += rs.retired_trace_latency;
+            audit_rt.max_trace_latency = std::max(
+                audit_rt.max_trace_latency, rs.max_trace_latency);
             audit_rt.issue_cycles += rs.issue_cycles;
             audit_rt.prefetches += rs.prefetches;
             audit_rt.predictor_hits += rs.predictor_hits;
@@ -282,6 +287,11 @@ Gpu::run(const std::vector<WarpProgram *> &programs,
                          audit_rt.stale_pops == res.rt.stale_pops &&
                          audit_rt.stack_overflows ==
                              res.rt.stack_overflows &&
+                         audit_rt.retired_warps == res.rt.retired_warps &&
+                         audit_rt.retired_trace_latency ==
+                             res.rt.retired_trace_latency &&
+                         audit_rt.max_trace_latency ==
+                             res.rt.max_trace_latency &&
                          audit_rt.issue_cycles == res.rt.issue_cycles &&
                          audit_rt.prefetches == res.rt.prefetches &&
                          audit_rt.predictor_hits ==

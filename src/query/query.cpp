@@ -263,17 +263,6 @@ makeQueryFrame(const scene::Scene &scene, Workload wl,
                ResultStore &store, int width, int height,
                const QueryParams &params)
 {
-    const bool points = scene.kind == scene::SceneKind::PointCloud;
-    const bool cells = scene.kind == scene::SceneKind::AmrCells;
-    if ((wl == Workload::Contain && !cells) ||
-        (wl != Workload::Contain && !points))
-        throw std::invalid_argument(
-            std::string("query workload '") + workloadName(wl) +
-            "' needs a " +
-            (wl == Workload::Contain ? "cell (amr*)"
-                                     : "point-cloud (pts*)") +
-            " scene, got '" + scene.name + "'");
-
     const int total = width * height;
     if (std::size_t(total) != store.size())
         throw std::invalid_argument(

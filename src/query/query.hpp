@@ -212,9 +212,9 @@ advectPoint(const geom::Vec3 &p, const geom::AABB &domain)
  * into @p store, which must outlive the programs and hold
  * width*height entries.
  *
- * @throws std::invalid_argument when the scene kind does not match
- *         the workload (Knn/Radius need PointCloud, Contain needs
- *         AmrCells).
+ * The scene kind must match the workload (Knn/Radius need
+ * PointCloud, Contain needs AmrCells); `core::RunConfig::validate`
+ * checks that before `Simulation::run` builds a frame.
  */
 std::vector<std::unique_ptr<gpu::WarpProgram>>
 makeQueryFrame(const scene::Scene &scene, Workload wl,

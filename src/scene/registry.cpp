@@ -46,6 +46,18 @@ SceneRegistry::queryLabels()
     return labels;
 }
 
+std::vector<std::string>
+SceneRegistry::labelsOfKind(SceneKind kind)
+{
+    if (kind == SceneKind::Triangles)
+        return allLabels();
+    std::vector<std::string> out;
+    for (const auto &l : queryLabels())
+        if (get(l).kind == kind)
+            out.push_back(l);
+    return out;
+}
+
 bool
 SceneRegistry::has(const std::string &label)
 {

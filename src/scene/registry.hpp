@@ -45,6 +45,13 @@ class SceneRegistry
      */
     static const std::vector<std::string> &queryLabels();
 
+    /**
+     * Every registered label of @p kind, in registry order: the 15
+     * rendering labels for Triangles, else the matching query labels
+     * (whose first entry, ptsu or amrs, is each kind's default).
+     */
+    static std::vector<std::string> labelsOfKind(SceneKind kind);
+
     /** True when @p label names a registered scene (either list). */
     static bool has(const std::string &label);
 

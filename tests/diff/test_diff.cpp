@@ -84,6 +84,61 @@ TEST(Fingerprint, StableAndSensitiveToConfigOnly)
     EXPECT_EQ(a.fingerprint(), observed.fingerprint());
 }
 
+TEST(Fingerprint, DefaultResolutionKeysLikeTheExplicitOne)
+{
+    // resolution 0 runs at the scene's default, so it is the same
+    // run as naming that resolution and must carry the same key.
+    const scene::Scene &wknd = scene::SceneRegistry::get("wknd");
+    core::RunConfig implicit;
+    core::RunConfig explicit_res;
+    explicit_res.resolution = wknd.default_resolution;
+    EXPECT_EQ(implicit.resolved(wknd).fingerprint(),
+              explicit_res.fingerprint());
+    const trace::RunKeyFields a = core::makeRunKey(implicit, wknd);
+    const trace::RunKeyFields b = core::makeRunKey(explicit_res, wknd);
+    EXPECT_EQ(a.resolution, wknd.default_resolution);
+    EXPECT_EQ(a.resolution, b.resolution);
+    EXPECT_EQ(a.fingerprint, b.fingerprint);
+}
+
+TEST(RunConfigValidate, RunRejectsInvalidConfigs)
+{
+    const core::Simulation &sim = core::simulationFor("wknd");
+    core::RunConfig ok;
+    ok.resolution = 8;
+    EXPECT_NO_THROW(ok.validate(sim.scene()));
+
+    core::RunConfig bounces = ok;
+    bounces.pt.max_bounces = -1;
+    EXPECT_THROW(sim.run(bounces), std::invalid_argument);
+
+    core::RunConfig knn = ok;
+    knn.shader = core::ShaderKind::QueryKnn;
+    EXPECT_THROW(sim.run(knn), std::invalid_argument);
+
+    core::RunConfig res = ok;
+    res.resolution = -5;
+    EXPECT_THROW(sim.run(res), std::invalid_argument);
+
+    core::RunConfig subwarp = ok;
+    subwarp.gpu.trace.subwarp_size = 3;
+    EXPECT_THROW(sim.run(subwarp), std::invalid_argument);
+
+    core::RunConfig k = ok;
+    k.query.k = 0;
+    EXPECT_THROW(k.validate(sim.scene()), std::invalid_argument);
+    core::RunConfig radius = ok;
+    radius.query.radius = 0.0f;
+    EXPECT_THROW(radius.validate(sim.scene()), std::invalid_argument);
+    core::RunConfig steps = ok;
+    steps.query.steps = -1;
+    EXPECT_THROW(steps.validate(sim.scene()), std::invalid_argument);
+
+    // Rendering shaders need a triangle scene.
+    EXPECT_THROW(ok.validate(scene::SceneRegistry::get("ptsu")),
+                 std::invalid_argument);
+}
+
 TEST(Fingerprint, StampedIntoOutcomeRunKey)
 {
     const core::Simulation &sim = core::simulationFor("wknd");

@@ -32,22 +32,23 @@ runQuery(const std::string &scene, core::ShaderKind shader,
     return core::simulationFor(scene).run(cfg);
 }
 
-std::vector<std::string>
-labelsOfKind(scene::SceneKind kind)
-{
-    std::vector<std::string> out;
-    for (const auto &l : scene::SceneRegistry::queryLabels())
-        if (scene::SceneRegistry::get(l).kind == kind)
-            out.push_back(l);
-    return out;
-}
+using scene::SceneRegistry;
 
 TEST(QueryScenes, RegisteredWithExpectedKinds)
 {
     const auto &labels = scene::SceneRegistry::queryLabels();
     ASSERT_EQ(labels.size(), 5u);
-    EXPECT_EQ(labelsOfKind(scene::SceneKind::PointCloud).size(), 3u);
-    EXPECT_EQ(labelsOfKind(scene::SceneKind::AmrCells).size(), 2u);
+    const auto points =
+        SceneRegistry::labelsOfKind(scene::SceneKind::PointCloud);
+    const auto cells =
+        SceneRegistry::labelsOfKind(scene::SceneKind::AmrCells);
+    ASSERT_EQ(points.size(), 3u);
+    ASSERT_EQ(cells.size(), 2u);
+    // The CLIs' default query scenes are each kind's first label.
+    EXPECT_EQ(points.front(), "ptsu");
+    EXPECT_EQ(cells.front(), "amrs");
+    EXPECT_EQ(SceneRegistry::labelsOfKind(scene::SceneKind::Triangles),
+              SceneRegistry::allLabels());
     for (const auto &l : labels) {
         SCOPED_TRACE(l);
         EXPECT_TRUE(scene::SceneRegistry::has(l));
@@ -81,7 +82,8 @@ TEST(QueryFrame, RejectsSceneKindMismatch)
 
 TEST(QueryOracle, KnnAgreesOnEveryPointCloud)
 {
-    for (const auto &l : labelsOfKind(scene::SceneKind::PointCloud)) {
+    for (const auto &l :
+         SceneRegistry::labelsOfKind(scene::SceneKind::PointCloud)) {
         SCOPED_TRACE(l);
         const auto out = runQuery(l, core::ShaderKind::QueryKnn);
         ASSERT_TRUE(out.query.enabled);
@@ -96,7 +98,8 @@ TEST(QueryOracle, KnnAgreesOnEveryPointCloud)
 
 TEST(QueryOracle, RadiusAgreesOnEveryPointCloud)
 {
-    for (const auto &l : labelsOfKind(scene::SceneKind::PointCloud)) {
+    for (const auto &l :
+         SceneRegistry::labelsOfKind(scene::SceneKind::PointCloud)) {
         SCOPED_TRACE(l);
         const auto out = runQuery(l, core::ShaderKind::QueryRadius);
         ASSERT_TRUE(out.query.verified);
@@ -109,7 +112,8 @@ TEST(QueryOracle, RadiusAgreesOnEveryPointCloud)
 
 TEST(QueryOracle, ContainAgreesOnEveryAmrScene)
 {
-    for (const auto &l : labelsOfKind(scene::SceneKind::AmrCells)) {
+    for (const auto &l :
+         SceneRegistry::labelsOfKind(scene::SceneKind::AmrCells)) {
         SCOPED_TRACE(l);
         const auto out = runQuery(l, core::ShaderKind::QueryContain);
         ASSERT_TRUE(out.query.verified);

@@ -61,6 +61,31 @@ def main(argv: list[str]) -> int:
     expect([simulate, "--heartbeat-s", "0"], 2, "--heartbeat-s")
     expect([simulate, "--heartbeat-s", "-1"], 2, "--heartbeat-s")
 
+    # Malformed numbers: the whole token must parse and lie in range
+    # (std::from_chars in the shared flag table), never a silent
+    # atoi fallback to a default or a wrapped unsigned.
+    small = ["--scene", "wknd", "--resolution", "8"]
+    for flag, value in (("--resolution", "abc"), ("--resolution", "-5"),
+                        ("--bounces", "-1"), ("--subwarp", "8x"),
+                        ("--trace-capacity", "-3")):
+        expect([simulate, *small, flag, value], 2, flag)
+
+    # Run identity: the default resolution and the same resolution
+    # given explicitly are one run, so they carry one fingerprint.
+    keys = []
+    for extra in ([], ["--resolution", "48"]):
+        p = run([simulate, "--scene", "wknd", "--json", *extra])
+        if p.returncode != 0:
+            FAILURES.append(f"{simulate} --scene wknd --json {extra}: "
+                            f"exit {p.returncode}")
+            break
+        keys.append(json.loads(p.stdout)["run_key"]["fingerprint"])
+    else:
+        if keys[0] != keys[1]:
+            FAILURES.append(
+                f"{simulate} wknd: default-resolution fingerprint "
+                f"{keys[0]} != --resolution 48 fingerprint {keys[1]}")
+
     # campaign_cli: flag errors exit 2; --list-configs is a success.
     expect([campaign, "--no-such-flag"], 2)
     expect([campaign, "--configs", "no-such-config"], 2)
@@ -70,6 +95,20 @@ def main(argv: list[str]) -> int:
     expect([campaign, "--heartbeat-s", "0"], 2, "--heartbeat-s")
     expect([campaign, "--heartbeat-s", "-0.5"], 2, "--heartbeat-s")
     expect([campaign, "--list-configs"], 0)
+    tiny = ["--scenes", "wknd", "--configs", "base", "--resolution", "8"]
+    for flag, value in (("--jobs", "abc"), ("--jobs", "-2"),
+                        ("--retries", "-1"), ("--timeout-s", "abc"),
+                        ("--resolution", "abc")):
+        expect([campaign, *tiny, flag, value], 2, flag)
+    # A matrix pair that cannot run is rejected before any job starts
+    # (no "[campaign] <tag>" progress line), not as a failed job.
+    p = run([campaign, *tiny, "--shader", "knn"])
+    if p.returncode != 2 or "shader" not in p.stderr or \
+            "[campaign] wknd/base" in p.stderr:
+        FAILURES.append(
+            f"{campaign} --scenes wknd --shader knn: exit "
+            f"{p.returncode}, want 2 before any job\n"
+            f"    stderr: {p.stderr.strip()[:200]}")
 
     # `--json-out -` contract: stdout is *pure* JSON lines (human
     # output goes to stderr), so piping into jq etc. always works.
@@ -96,6 +135,13 @@ def main(argv: list[str]) -> int:
     expect([bench, "--no-such-flag"], 2, "unknown flag")
     expect([bench, "--scenes"], 2, "needs a value")
     expect([bench, "--scenes", "not-a-scene"], 2, "unknown scene")
+    expect([bench, "--scenes", "wknd", "--jobs", "-2"], 2, "--jobs")
+    # fig09's own --config flag rides on the shared table.
+    p = run([bench, "--config", "--scenes", "wknd"])
+    if p.returncode != 0 or "DRAM:" not in p.stdout:
+        FAILURES.append(
+            f"{bench} --config --scenes wknd: exit {p.returncode}, "
+            f"stdout {p.stdout.strip()[:120]!r}")
 
     # --version is a success path everywhere it exists.
     for binary in (simulate, campaign, diff_cli):

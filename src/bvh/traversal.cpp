@@ -20,8 +20,8 @@ testLeaf(const FlatBvh &bvh, const scene::Mesh &mesh, const Ray &ray,
         const std::uint32_t prim = bvh.primAt(ref.firstSlot() + k);
         if (stats)
             stats->tri_tests++;
-        const float t = mesh.tri(prim).intersect(ray, rec.thit);
-        if (t != kNoHit) {
+        const float t = mesh.tri(prim).intersect(ray, kNoHit);
+        if (t != kNoHit && geom::closerHit(t, prim, rec.thit, rec.prim_id)) {
             rec.thit = t;
             rec.prim_id = prim;
             rec.normal = mesh.tri(prim).shadingNormal(ray.dir);
@@ -69,8 +69,8 @@ closestHit(const FlatBvh &bvh, const scene::Mesh &mesh, const Ray &ray,
             if (stats)
                 stats->box_tests++;
             // Algorithm 1 line 8: push only children whose entry
-            // distance beats the current closest hit.
-            if (c.box.intersect(ray, rec.thit) != kNoHit)
+            // distance beats the current closest hit (conservatively).
+            if (c.box.intersect(ray, geom::cullLimit(rec.thit)) != kNoHit)
                 stack.push_back(c.ref);
         }
     }

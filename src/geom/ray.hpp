@@ -7,6 +7,7 @@
 #ifndef COOPRT_GEOM_RAY_HPP
 #define COOPRT_GEOM_RAY_HPP
 
+#include <cstdint>
 #include <limits>
 
 #include "geom/vec3.hpp"
@@ -15,6 +16,32 @@ namespace cooprt::geom {
 
 /** Sentinel hit distance meaning "no hit found yet". */
 constexpr float kNoHit = std::numeric_limits<float>::infinity();
+
+/**
+ * Culling bound for a closest-hit search limit @p t, widened by a
+ * relative 1e-5: slab and triangle tests round differently, so a box
+ * can report an entry an ulp beyond a hit it contains, and culling at
+ * exactly t would make the kept hit depend on traversal order. 0 and
+ * kNoHit map to themselves.
+ */
+inline float
+cullLimit(float t)
+{
+    return t * (1.0f + 1e-5f);
+}
+
+/**
+ * Closest-hit acceptance of a hit at @p t on @p prim: nearer than the
+ * search limit, or tied with it exactly and a lower prim id than the
+ * current hit @p best_prim — the brute-force reference's order, so
+ * the result does not depend on which leaf a traversal visits first.
+ */
+inline bool
+closerHit(float t, std::uint32_t prim, float limit,
+          std::uint32_t best_prim)
+{
+    return t < limit || (t == limit && prim < best_prim);
+}
 
 /**
  * A ray with origin, direction and a valid parametric interval.

@@ -364,7 +364,7 @@ RtUnit::dropStaleWork(int slot, WarpEntry &w, int tid,
     ThreadState &t = w.th[std::size_t(tid)];
     while (!t.stack.empty()) {
         const StackEntry &top = peekWork(t);
-        if (top.entry_t < searchLimit(w, top.main))
+        if (top.entry_t < geom::cullLimit(searchLimit(w, top.main)))
             break;
         const StackEntry dropped = popWork(t);
         stats_.stale_pops++;
@@ -646,13 +646,14 @@ RtUnit::processNode(int slot, WarpEntry &w, int tid, NodeRef ref,
             const std::uint32_t prim = bvh_.primAt(ref.firstSlot() + k);
             stats_.tri_tests++;
             tested++;
-            const float limit = searchLimit(w, main);
             const float thit =
                 w.query == geom::QueryKind::None
-                    ? mesh_.tri(prim).intersect(ray, limit)
+                    ? mesh_.tri(prim).intersect(ray, kNoHit)
                     : geom::queryLeafTest(w.query, mesh_.tri(prim),
-                                          ray, limit);
-            if (thit != kNoHit) {
+                                          ray, kNoHit);
+            if (thit != kNoHit &&
+                geom::closerHit(thit, prim, searchLimit(w, main),
+                                w.hit[std::size_t(main)].prim_id)) {
                 // Paper Section 5.3: helpers update the *main*
                 // thread's min_thit register.
                 w.min_thit[std::size_t(main)] = thit;
@@ -685,8 +686,8 @@ RtUnit::processNode(int slot, WarpEntry &w, int tid, NodeRef ref,
     for (int i = 0; i < n; ++i) {
         const bvh::ChildInfo c = bvh_.child(ref, i);
         stats_.box_tests++;
-        const float limit = searchLimit(w, main);
-        const float thit = c.box.intersect(ray, limit);
+        const float thit =
+            c.box.intersect(ray, geom::cullLimit(searchLimit(w, main)));
         if (thit != kNoHit) {
             pushWork(t, {c.ref, thit, std::int8_t(main)});
             if (ray_ != nullptr)
@@ -933,7 +934,8 @@ RtUnit::profAccount(std::uint64_t now, bool end_of_tick)
                 if (!th.pending) {
                     v.has_ready = true;
                     const StackEntry &top = peekWork(th);
-                    if (top.entry_t < searchLimit(w, top.main))
+                    if (top.entry_t <
+                        geom::cullLimit(searchLimit(w, top.main)))
                         fresh_ready = true;
                 }
             } else if (!th.pending) {

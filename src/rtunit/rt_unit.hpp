@@ -349,7 +349,8 @@ class RtUnit
     StackEntry popSteal(ThreadState &t) const;
     void pushWork(ThreadState &t, const StackEntry &e);
 
-    /** Drop stale TOS entries (entry_t >= current search limit). */
+    /** Drop stale TOS entries (entry_t >= geom::cullLimit of the
+     *  owner's search limit). */
     void dropStaleWork(int slot, WarpEntry &w, int tid,
                        std::uint64_t now);
 

@@ -73,8 +73,8 @@ TEST(PinnedCycles, BunnyAmbientOcclusionCoop)
 {
     const auto out = runPinned(
         "bunny", 24, core::ShaderKind::AmbientOcclusion, true);
-    EXPECT_EQ(out.gpu.cycles, 17550u);
-    EXPECT_EQ(out.gpu.rt.steals, 5129u);
+    EXPECT_EQ(out.gpu.cycles, 17241u);
+    EXPECT_EQ(out.gpu.rt.steals, 5114u);
     EXPECT_EQ(out.gpu.rt.retired_warps, 78u);
 }
 
@@ -82,8 +82,8 @@ TEST(PinnedCycles, ShipShadowBaseline)
 {
     const auto out =
         runPinned("ship", 24, core::ShaderKind::Shadow, false);
-    EXPECT_EQ(out.gpu.cycles, 36233u);
-    EXPECT_EQ(out.gpu.rt.stale_pops, 5123u);
+    EXPECT_EQ(out.gpu.cycles, 36232u);
+    EXPECT_EQ(out.gpu.rt.stale_pops, 5120u);
     EXPECT_EQ(out.gpu.rt.retired_warps, 50u);
 }
 
@@ -110,8 +110,8 @@ TEST(PinnedCycles, BunnyAmbientOcclusionCoopWithRayRecorder)
     raytrace::Recorder ray;
     const auto out = runPinned(
         "bunny", 24, core::ShaderKind::AmbientOcclusion, true, &ray);
-    EXPECT_EQ(out.gpu.cycles, 17550u);
-    EXPECT_EQ(out.gpu.rt.steals, 5129u);
+    EXPECT_EQ(out.gpu.cycles, 17241u);
+    EXPECT_EQ(out.gpu.rt.steals, 5114u);
     EXPECT_EQ(out.gpu.rt.retired_warps, 78u);
 }
 
@@ -120,8 +120,8 @@ TEST(PinnedCycles, ShipShadowBaselineWithRayRecorder)
     raytrace::Recorder ray;
     const auto out =
         runPinned("ship", 24, core::ShaderKind::Shadow, false, &ray);
-    EXPECT_EQ(out.gpu.cycles, 36233u);
-    EXPECT_EQ(out.gpu.rt.stale_pops, 5123u);
+    EXPECT_EQ(out.gpu.cycles, 36232u);
+    EXPECT_EQ(out.gpu.rt.stale_pops, 5120u);
     EXPECT_EQ(out.gpu.rt.retired_warps, 50u);
 }
 
@@ -176,8 +176,8 @@ TEST(PinnedCycles, BunnyAmbientOcclusionCoopWithMemscope)
     const auto out =
         runPinned("bunny", 24, core::ShaderKind::AmbientOcclusion,
                   true, nullptr, &mscope);
-    EXPECT_EQ(out.gpu.cycles, 17550u);
-    EXPECT_EQ(out.gpu.rt.steals, 5129u);
+    EXPECT_EQ(out.gpu.cycles, 17241u);
+    EXPECT_EQ(out.gpu.rt.steals, 5114u);
     EXPECT_EQ(out.gpu.rt.retired_warps, 78u);
     EXPECT_EQ(memscopeAccesses(mscope),
               out.gpu.rt.node_fetches + out.gpu.rt.leaf_fetches);
@@ -188,8 +188,8 @@ TEST(PinnedCycles, ShipShadowBaselineWithMemscope)
     memscope::Collector mscope;
     const auto out = runPinned("ship", 24, core::ShaderKind::Shadow,
                                false, nullptr, &mscope);
-    EXPECT_EQ(out.gpu.cycles, 36233u);
-    EXPECT_EQ(out.gpu.rt.stale_pops, 5123u);
+    EXPECT_EQ(out.gpu.cycles, 36232u);
+    EXPECT_EQ(out.gpu.rt.stale_pops, 5120u);
     EXPECT_EQ(out.gpu.rt.retired_warps, 50u);
     EXPECT_EQ(memscopeAccesses(mscope),
               out.gpu.rt.node_fetches + out.gpu.rt.leaf_fetches);
@@ -236,8 +236,8 @@ TEST(PinnedCycles, BunnyAmbientOcclusionCoopWithTelemetry)
     const auto out =
         runPinned("bunny", 24, core::ShaderKind::AmbientOcclusion,
                   true, nullptr, nullptr, &telem);
-    EXPECT_EQ(out.gpu.cycles, 17550u);
-    EXPECT_EQ(out.gpu.rt.steals, 5129u);
+    EXPECT_EQ(out.gpu.cycles, 17241u);
+    EXPECT_EQ(out.gpu.rt.steals, 5114u);
     EXPECT_EQ(out.gpu.rt.retired_warps, 78u);
     EXPECT_EQ(out.telemetry.rays_retired, 78u);
 }
@@ -247,10 +247,10 @@ TEST(PinnedCycles, ShipShadowBaselineWithTelemetry)
     telemetry::Recorder telem;
     const auto out = runPinned("ship", 24, core::ShaderKind::Shadow,
                                false, nullptr, nullptr, &telem);
-    EXPECT_EQ(out.gpu.cycles, 36233u);
-    EXPECT_EQ(out.gpu.rt.stale_pops, 5123u);
+    EXPECT_EQ(out.gpu.cycles, 36232u);
+    EXPECT_EQ(out.gpu.rt.stale_pops, 5120u);
     EXPECT_EQ(out.gpu.rt.retired_warps, 50u);
-    EXPECT_EQ(out.telemetry.cycles, 36233u);
+    EXPECT_EQ(out.telemetry.cycles, 36232u);
 }
 
 } // namespace

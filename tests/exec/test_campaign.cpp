@@ -74,8 +74,8 @@ TEST(ExecCampaign, ParallelMatchesSerialBitIdentical)
     // pass by both being wrong the same way.
     EXPECT_EQ(p[0].outcome.gpu.cycles, 34868u);
     EXPECT_EQ(p[1].outcome.gpu.cycles, 18756u);
-    EXPECT_EQ(p[2].outcome.gpu.cycles, 17550u);
-    EXPECT_EQ(p[3].outcome.gpu.cycles, 36233u);
+    EXPECT_EQ(p[2].outcome.gpu.cycles, 17241u);
+    EXPECT_EQ(p[3].outcome.gpu.cycles, 36232u);
 }
 
 TEST(ExecCampaign, JsonLinesByteIdenticalAcrossWorkerCounts)

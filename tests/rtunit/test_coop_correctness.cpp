@@ -160,4 +160,62 @@ TEST(CoopVsBaseline, IdenticalResultsOnGeneratedScene)
     }
 }
 
+/**
+ * Exact ties. Every triangle of a soup appears twice (the copies in
+ * reverse id order) and a third, coplanar triangle overlaps each
+ * original, so most hits tie exactly or differ by an ulp. Which copy a
+ * traversal meets first depends on its visit order; the closest hit
+ * must not. Base, CoopRT (DFS and BFS, several subwarps) and the
+ * reference bvh::closestHit must all return bvh::bruteForceClosest's
+ * answer: the smallest t, ties to the lowest prim id.
+ */
+TEST(CoopVsBaseline, DuplicateCoplanarTrianglesTieToLowestPrim)
+{
+    const scene::Mesh soup = makeSoup(77, 600, 6.0f);
+    scene::Mesh mesh = soup;
+    for (auto i = std::uint32_t(soup.size()); i-- > 0;)
+        mesh.addTriangle(soup.tri(i));
+    for (std::uint32_t i = 0; i < soup.size(); ++i) {
+        // Same plane, shifted within it: overlaps the original.
+        const geom::Triangle &t = soup.tri(i);
+        const geom::Vec3 d = (t.v1 - t.v0) * 0.25f;
+        mesh.addTriangle({t.v0 + d, t.v1 + d, t.v2 + d});
+    }
+
+    std::vector<TraceConfig> cfgs(1);
+    for (int sw : {32, 8}) {
+        for (TraversalOrder order :
+             {TraversalOrder::Dfs, TraversalOrder::Bfs}) {
+            TraceConfig c;
+            c.coop = true;
+            c.subwarp_size = sw;
+            c.order = order;
+            cfgs.push_back(c);
+        }
+    }
+    for (int rep = 0; rep < 8; ++rep) {
+        const TraceJob job =
+            testutil::frontalJob(kWarpSize, 300 + std::uint64_t(rep));
+        for (std::size_t c = 0; c < cfgs.size(); ++c) {
+            RtHarness h(mesh, cfgs[c]);
+            const TraceResult r = h.runOne(job);
+            for (int t = 0; t < kWarpSize; ++t) {
+                const geom::Ray &ray = *job.rays[std::size_t(t)];
+                const geom::HitRecord want =
+                    bvh::bruteForceClosest(h.mesh, ray);
+                const geom::HitRecord ref =
+                    bvh::closestHit(h.flat, h.mesh, ray);
+                const geom::HitRecord &got = r.hits[std::size_t(t)];
+                SCOPED_TRACE("rep " + std::to_string(rep) + " config " +
+                             std::to_string(c) + " thread " +
+                             std::to_string(t));
+                EXPECT_EQ(ref.prim_id, want.prim_id);
+                EXPECT_EQ(ref.thit, want.thit);
+                EXPECT_EQ(got.prim_id, want.prim_id);
+                EXPECT_EQ(got.thit, want.thit);
+            }
+        }
+    }
+}
+
 } // namespace

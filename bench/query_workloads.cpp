@@ -94,7 +94,6 @@ main(int argc, char **argv)
                     "base cycles", "coop cycles", "speedup",
                     "coop top stall", "hot depth"});
     for (const auto &[workload, shader] : rows) {
-        // The selected scenes this workload runs on.
         std::vector<std::string> scenes;
         for (const auto &label : opt.scenes)
             if (scene::SceneRegistry::get(label).kind ==

@@ -100,13 +100,12 @@ Flag
 shaderFlag(core::ShaderKind &dst, const std::string &help)
 {
     std::string tokens;
-    for (const core::ShaderKind k : core::kShaderKinds)
-        tokens += (tokens.empty() ? "" : "|") +
-                  std::string(core::shaderToken(k));
+    for (const auto &[kind, token] : core::kShaderTokens)
+        tokens += (tokens.empty() ? "" : "|") + std::string(token);
     return {"--shader", tokens, help, [&dst, tokens](const Args &v) {
-                for (const core::ShaderKind k : core::kShaderKinds)
-                    if (v[0] == core::shaderToken(k)) {
-                        dst = k;
+                for (const auto &[kind, token] : core::kShaderTokens)
+                    if (v[0] == token) {
+                        dst = kind;
                         return;
                     }
                 throw std::invalid_argument("unknown shader '" + v[0] +

@@ -74,7 +74,7 @@ void printVersion(const std::string &prog, std::ostream &os);
 /** `--version`: printVersion to stdout, exit 0. */
 Flag versionFlag(const std::string &prog);
 
-/** `--shader`: one of the core::shaderToken spellings. */
+/** `--shader`: one of the core::kShaderTokens spellings. */
 Flag shaderFlag(core::ShaderKind &dst, const std::string &help);
 
 /** The non-empty items of the comma-separated list @p csv. */

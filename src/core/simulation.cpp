@@ -11,20 +11,9 @@ namespace cooprt::core {
 const char *
 shaderToken(ShaderKind k)
 {
-    switch (k) {
-      case ShaderKind::PathTracing:
-        return "pt";
-      case ShaderKind::AmbientOcclusion:
-        return "ao";
-      case ShaderKind::Shadow:
-        return "sh";
-      case ShaderKind::QueryKnn:
-        return "knn";
-      case ShaderKind::QueryRadius:
-        return "radius";
-      case ShaderKind::QueryContain:
-        return "contain";
-    }
+    for (const auto &[kind, token] : kShaderTokens)
+        if (kind == k)
+            return token;
     return "?";
 }
 

@@ -20,6 +20,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "bvh/flat_bvh.hpp"
 #include "gpu/gpu.hpp"
@@ -59,16 +60,15 @@ isQueryShader(ShaderKind k)
            k == ShaderKind::QueryContain;
 }
 
-/** Every ShaderKind, in declaration order. */
-inline constexpr ShaderKind kShaderKinds[] = {
-    ShaderKind::PathTracing, ShaderKind::AmbientOcclusion,
-    ShaderKind::Shadow,      ShaderKind::QueryKnn,
-    ShaderKind::QueryRadius, ShaderKind::QueryContain,
+/** Every ShaderKind with its stable token — the spelling every CLI's
+ *  --shader flag accepts and run keys are stamped with. */
+inline constexpr std::pair<ShaderKind, const char *> kShaderTokens[] = {
+    {ShaderKind::PathTracing, "pt"},      {ShaderKind::AmbientOcclusion, "ao"},
+    {ShaderKind::Shadow, "sh"},           {ShaderKind::QueryKnn, "knn"},
+    {ShaderKind::QueryRadius, "radius"}, {ShaderKind::QueryContain, "contain"},
 };
 
-/** Stable CLI token for @p k (pt|ao|sh|knn|radius|contain) — the
- *  same spelling every CLI's --shader flag accepts, and the spelling
- *  run keys are stamped with. */
+/** The kShaderTokens token of @p k. */
 const char *shaderToken(ShaderKind k);
 
 /** The scene kind @p k runs on: triangles for the rendering shaders,

@@ -17,25 +17,18 @@ namespace cooprt::geom {
 /** Sentinel hit distance meaning "no hit found yet". */
 constexpr float kNoHit = std::numeric_limits<float>::infinity();
 
-/**
- * Culling bound for a closest-hit search limit @p t, widened by a
- * relative 1e-5: slab and triangle tests round differently, so a box
- * can report an entry an ulp beyond a hit it contains, and culling at
- * exactly t would make the kept hit depend on traversal order. 0 and
- * kNoHit map to themselves.
- */
+/** Closest-hit search limit @p t widened by a relative 1e-5, for
+ *  culling boxes and stale stack entries: a slab test can place a
+ *  box's entry an ulp beyond a hit inside it (DESIGN.md section 6). */
 inline float
 cullLimit(float t)
 {
     return t * (1.0f + 1e-5f);
 }
 
-/**
- * Closest-hit acceptance of a hit at @p t on @p prim: nearer than the
- * search limit, or tied with it exactly and a lower prim id than the
- * current hit @p best_prim — the brute-force reference's order, so
- * the result does not depend on which leaf a traversal visits first.
- */
+/** Accept a hit at @p t on @p prim when nearer than @p limit, or tied
+ *  with it and of lower id than the current @p best_prim, so the
+ *  closest hit is independent of visit order (DESIGN.md section 6). */
 inline bool
 closerHit(float t, std::uint32_t prim, float limit,
           std::uint32_t best_prim)

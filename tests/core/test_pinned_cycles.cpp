@@ -134,7 +134,7 @@ std::uint64_t
 memscopeAccesses(const memscope::Collector &mscope)
 {
     std::uint64_t total = 0;
-    for (std::size_t i = 0; i < mscope.unitCount(); ++i)
+    for (int i = 0; i < mscope.unitCount(); ++i)
         total += mscope.unitAt(i).accesses;
     return total;
 }

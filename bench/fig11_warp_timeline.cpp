@@ -5,10 +5,11 @@
  * has a non-empty traversal stack (or a node in flight). CoopRT fills
  * idle lanes with stolen work and shortens the whole trace.
  *
- * Built on the ray-provenance recorder (src/raytrace/): the recorder
- * samples the same late warp the legacy armTimeline path recorded
- * (all 32 lanes, SM 0, 60 trace_rays skipped) and its lane-edge log
- * replays into the identical rendered timeline.
+ * Built on the ray-provenance recorder (src/raytrace/): it samples
+ * all 32 lanes of one late warp on SM 0 (60 trace_rays skipped) and
+ * raytrace::laneTimeline replays its lane-edge log into the rendered
+ * timeline. examples/warp_timeline draws the same figure for any
+ * scene.
  */
 
 #include "bench_util.hpp"
@@ -44,16 +45,14 @@ main(int argc, char **argv)
         cfg.ray_recorder = &ray;
         core::RunOutcome out = sim.run(cfg);
 
-        const raytrace::WarpRecord *warp = nullptr;
-        for (const raytrace::WarpRecord *w : ray.warps())
-            if (w->sm == 0)
-                warp = w;
-        if (warp == nullptr) {
+        const std::vector<raytrace::WarpRecord> &sm0 =
+            ray.unit(0).warps();
+        if (sm0.empty()) {
             std::fprintf(stderr,
                          "fig11: recorder captured no warp on SM 0\n");
             return 1;
         }
-        stats::TimelineRecorder rec = raytrace::laneTimeline(*warp);
+        stats::TimelineRecorder rec = raytrace::laneTimeline(sm0[0]);
 
         if (!opt.csv) {
             std::printf("\nFig. 11%s — %s, scene %s, one late "

@@ -5,16 +5,21 @@
  *
  * In the baseline rendering, only the lanes that own long rays show
  * long bars; with CoopRT, idle lanes fill with stolen work and the
- * whole block shortens.
+ * whole block shortens. The warp is captured by the ray-provenance
+ * recorder on SM 0 after @c skip trace_rays, and its lane edges are
+ * replayed with raytrace::laneTimeline (as fig11_warp_timeline does).
+ * Exits 1 when SM 0 never reaches the requested skip.
  *
- *   ./warp_timeline [scene-label] [columns]
+ *   ./warp_timeline [scene-label] [columns] [skip]
  */
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "core/cli.hpp"
 #include "core/simulation.hpp"
+#include "raytrace/raytrace.hpp"
 
 int
 main(int argc, char **argv)
@@ -37,8 +42,25 @@ main(int argc, char **argv)
     for (bool coop : {false, true}) {
         core::RunConfig cfg;
         cfg.gpu.trace.coop = coop;
-        stats::TimelineRecorder rec(rtunit::kWarpSize);
-        sim.run(cfg, nullptr, &rec, skip);
+        raytrace::RecorderConfig rcfg;
+        rcfg.sample_k = rtunit::kWarpSize;
+        rcfg.warp_skip = std::uint64_t(skip);
+        rcfg.max_warps_per_unit = 1;
+        rcfg.lane_timeline = true;
+        raytrace::Recorder ray(rcfg);
+        cfg.ray_recorder = &ray;
+        sim.run(cfg);
+
+        const std::vector<raytrace::WarpRecord> &sm0 =
+            ray.unit(0).warps();
+        if (sm0.empty()) {
+            std::fprintf(stderr,
+                         "warp_timeline: no trace_ray on SM 0 after "
+                         "skipping %d\n",
+                         skip);
+            return 1;
+        }
+        const stats::TimelineRecorder rec = raytrace::laneTimeline(sm0[0]);
 
         std::printf("\n%s, scene %s — one trace_ray on SM 0 "
                     "('#' = non-empty traversal stack):\n",

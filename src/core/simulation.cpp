@@ -232,9 +232,7 @@ Simulation::timedBuild(const scene::Scene &scene, double *seconds)
 }
 
 RunOutcome
-Simulation::run(const RunConfig &config, shaders::Film *film,
-                stats::TimelineRecorder *timeline,
-                int timeline_skip) const
+Simulation::run(const RunConfig &config, shaders::Film *film) const
 {
     config.validate(scene_);
     const int res = config.resolved(scene_).resolution;
@@ -321,7 +319,7 @@ Simulation::run(const RunConfig &config, shaders::Film *film,
     {
         const auto simloop = telemetry::Recorder::span(
             config.telemetry, telemetry::Phase::SimLoop);
-        out.gpu = g.run(ptrs, timeline, timeline_skip);
+        out.gpu = g.run(ptrs);
     }
 
     power::EnergyModel energy(config.energy);

@@ -232,17 +232,10 @@ class Simulation
      * Run one configuration; throws std::invalid_argument when
      * `config.validate(scene())` does.
      *
-     * @param film          Optional output image.
-     * @param timeline      Optional Fig.-11 per-thread timeline
-     *                      recorder (records one trace on SM 0).
-     * @param timeline_skip Trace_rays to skip before recording —
-     *                      lets callers capture a late, divergent
-     *                      trace as the paper's Fig. 11 does.
+     * @param film Optional output image.
      */
     RunOutcome run(const RunConfig &config,
-                   shaders::Film *film = nullptr,
-                   stats::TimelineRecorder *timeline = nullptr,
-                   int timeline_skip = 0) const;
+                   shaders::Film *film = nullptr) const;
 
   private:
     /** buildWideBvh timed with telemetry's wall clock; fills

@@ -8,9 +8,10 @@ namespace cooprt::gpu {
 
 StreamingMultiprocessor::StreamingMultiprocessor(
     int sm_id, const GpuConfig &cfg, const bvh::FlatBvh &bvh,
-    const scene::Mesh &mesh, rtunit::RtUnit::FetchFn fetch)
+    const scene::Mesh &mesh, rtunit::RtUnit::FetchFn fetch,
+    rtunit::RtUnit::LevelFn level)
     : sm_id_(sm_id), cfg_(cfg),
-      rt_(bvh, mesh, cfg.trace, std::move(fetch))
+      rt_(bvh, mesh, cfg.trace, std::move(fetch), std::move(level))
 {
     (void)sm_id_;
 #if COOPRT_CHECK_ENABLED
@@ -39,29 +40,18 @@ StreamingMultiprocessor::attachTrace(cooprt::trace::Session *session)
 }
 
 void
-StreamingMultiprocessor::attachProf(
-    cooprt::prof::RtUnitProfile *profile,
-    rtunit::RtUnit::ProfLevelFn level)
+StreamingMultiprocessor::attachProf(cooprt::prof::RtUnitProfile *profile)
 {
     prof_ = profile;
-    rt_.attachProf(profile, std::move(level));
+    rt_.attachProf(profile);
 }
 
 void
 StreamingMultiprocessor::attachRayTrace(
-    cooprt::raytrace::UnitRecorder *recorder,
-    rtunit::RtUnit::ProfLevelFn level)
+    cooprt::raytrace::UnitRecorder *recorder)
 {
     ray_rec_ = recorder;
-    rt_.attachRayTrace(recorder, std::move(level));
-}
-
-void
-StreamingMultiprocessor::attachMemscope(
-    cooprt::memscope::UnitScope *scope,
-    rtunit::RtUnit::ProfLevelFn level)
-{
-    rt_.attachMemscope(scope, std::move(level));
+    rt_.attachRayTrace(recorder);
 }
 
 bool

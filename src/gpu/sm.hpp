@@ -40,10 +40,12 @@ struct WarpCompletion
 class StreamingMultiprocessor
 {
   public:
+    /** @p level is the RT unit's serving-level reader (see RtUnit). */
     StreamingMultiprocessor(int sm_id, const GpuConfig &cfg,
                             const bvh::FlatBvh &bvh,
                             const scene::Mesh &mesh,
-                            rtunit::RtUnit::FetchFn fetch);
+                            rtunit::RtUnit::FetchFn fetch,
+                            rtunit::RtUnit::LevelFn level = nullptr);
 
     /** Assign a warp (thread block) to this SM. */
     void assign(int warp_id, WarpProgram *program);
@@ -63,12 +65,10 @@ class StreamingMultiprocessor
      * Attach the stall-attribution profiler: the RT unit classifies
      * every warp-resident cycle into @p profile, and this SM adds
      * the warp-buffer-full wait cycles (trace issued, no free slot)
-     * it measures at submit time. @p level attributes
-     * response-starved cycles to their serving memory level. Null
-     * profile disables profiling (the default; bit-identical runs).
+     * it measures at submit time. Null profile disables profiling
+     * (the default; bit-identical runs).
      */
-    void attachProf(cooprt::prof::RtUnitProfile *profile,
-                    rtunit::RtUnit::ProfLevelFn level);
+    void attachProf(cooprt::prof::RtUnitProfile *profile);
 
     /**
      * Attach the ray-level provenance recorder: the RT unit logs the
@@ -77,17 +77,7 @@ class StreamingMultiprocessor
      * tracks and the critical-path report name real warps). Null
      * detaches; behaviour is bit-identical without a recorder.
      */
-    void attachRayTrace(cooprt::raytrace::UnitRecorder *recorder,
-                        rtunit::RtUnit::ProfLevelFn level);
-
-    /**
-     * Attach the BVH-topology profiler: the RT unit tags every node
-     * fetch into @p scope with node id, depth and the serving level
-     * read through @p level. Null detaches; behaviour is
-     * bit-identical without it.
-     */
-    void attachMemscope(cooprt::memscope::UnitScope *scope,
-                        rtunit::RtUnit::ProfLevelFn level);
+    void attachRayTrace(cooprt::raytrace::UnitRecorder *recorder);
 
     /** True when every assigned warp has finished. */
     bool done() const;

@@ -431,8 +431,7 @@ class Recorder
 
 /**
  * Rebuild a fig11-style busy timeline from @p w's lane edges
- * (requires RecorderConfig::lane_timeline). Bit-equivalent to the
- * legacy `Gpu::armTimeline` recorder for the same warp.
+ * (requires RecorderConfig::lane_timeline).
  */
 stats::TimelineRecorder laneTimeline(const WarpRecord &w);
 

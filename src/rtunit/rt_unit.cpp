@@ -18,8 +18,9 @@ static_assert(cooprt::raytrace::kLanes == kWarpSize,
               "raytrace lane count must mirror the warp width");
 
 RtUnit::RtUnit(const bvh::FlatBvh &bvh, const scene::Mesh &mesh,
-               const TraceConfig &config, FetchFn fetch)
-    : bvh_(bvh), mesh_(mesh), cfg_(config), fetch_(std::move(fetch))
+               const TraceConfig &config, FetchFn fetch, LevelFn level)
+    : bvh_(bvh), mesh_(mesh), cfg_(config), fetch_(std::move(fetch)),
+      level_(std::move(level))
 {
     cfg_.validate();
     warps_.resize(std::size_t(cfg_.warp_buffer_entries));
@@ -86,30 +87,6 @@ RtUnit::attachTrace(cooprt::trace::Registry *registry,
                     [this] { return double(responses_.size()); },
                     this);
     latency_hist_ = &registry->histogram(p + "trace_latency");
-}
-
-void
-RtUnit::attachProf(cooprt::prof::RtUnitProfile *profile,
-                   ProfLevelFn level)
-{
-    prof_ = profile;
-    prof_level_ = std::move(level);
-}
-
-void
-RtUnit::attachRayTrace(cooprt::raytrace::UnitRecorder *recorder,
-                       ProfLevelFn level)
-{
-    ray_ = recorder;
-    ray_level_ = std::move(level);
-}
-
-void
-RtUnit::attachMemscope(cooprt::memscope::UnitScope *scope,
-                       ProfLevelFn level)
-{
-    mscope_ = scope;
-    mscope_level_ = std::move(level);
 }
 
 std::size_t
@@ -252,18 +229,6 @@ RtUnit::submit(const TraceJob &job, std::uint64_t now, RetireFn on_retire)
     }
     resident_++;
     COOPRT_CHECK_ONLY(audit_submitted_++;)
-
-    if (timeline_armed_ && timeline_slot_ < 0) {
-        if (timeline_skip_ > 0) {
-            timeline_skip_--;
-        } else {
-            timeline_slot_ = slot;
-            w.record_timeline = true;
-            for (int t = 0; t < kWarpSize; ++t)
-                timeline_->setBusy(t, now,
-                                   threadBusy(w.th[std::size_t(t)]));
-        }
-    }
 
     if (ray_ != nullptr) {
         // Sampling decision + launch events; before maybeRetire so a
@@ -455,23 +420,16 @@ RtUnit::tryIssue(std::uint64_t now)
 
         const std::uint64_t data_ready =
             fetch_(bvh_.addressOf(ref), bvh_.fetchBytes(ref), now);
-        std::int8_t level = 0;
-        if (prof_ != nullptr) {
+        if (prof_ != nullptr)
             prof_progress_ |= 1ull << std::uint64_t(slot);
-            if (prof_level_)
-                level = std::int8_t(prof_level_());
-        } else if (mscope_ != nullptr && mscope_level_) {
-            // The topology profiler needs the serving level of every
-            // fetch (same const read of MemorySystem::lastFetchDepth
-            // the profiler does).
-            level = std::int8_t(mscope_level_());
-        } else if (ray_ != nullptr && ray_->slotSampled(slot) &&
-                   ray_level_) {
-            // Without the profiler the serving level is only needed
-            // for sampled-ray provenance (same const read of
-            // MemorySystem::lastFetchDepth the profiler does).
-            level = std::int8_t(ray_level_());
-        }
+        // The serving level is read (a const read of
+        // MemorySystem::lastFetchDepth) only for an observer that
+        // uses it: the profiler and memscope for every fetch, the
+        // ray recorder for sampled warps.
+        std::int8_t level = 0;
+        if (level_ && (prof_ != nullptr || mscope_ != nullptr ||
+                       (ray_ != nullptr && ray_->slotSampled(slot))))
+            level = std::int8_t(level_());
         if (ray_ != nullptr && ray_->slotSampled(slot))
             for (int t = 0; t < kWarpSize; ++t)
                 if (consumers & (1u << t)) {
@@ -509,9 +467,6 @@ RtUnit::tryIssue(std::uint64_t now)
                 bvh_.fetchBytes(ref));
         }
 
-        if (w.record_timeline)
-            for (int t = 0; t < kWarpSize; ++t)
-                recordBusyEdge(slot, t, now);
         recordRayEdges(slot, w, now);
 
         // Round-robin rotates away; greedy keeps serving this warp.
@@ -621,10 +576,6 @@ RtUnit::runLbu(std::uint64_t now)
                 COOPRT_TRACE_INSTANT(tracer_, "rtunit.lbu", "steal",
                                      trace_pid_, slot, now);
 
-                if (w.record_timeline) {
-                    recordBusyEdge(slot, helper, now);
-                    recordBusyEdge(slot, main, now);
-                }
                 recordRayEdges(slot, w, now);
             }
         }
@@ -743,18 +694,12 @@ RtUnit::processOneResponse(std::uint64_t now)
     if (COOPRT_MUTATE(DoubleConsumeResponse))
         w.outstanding--;
 
-    if (prof_ != nullptr) {
+    // Phase flag for the profiler and memscope (plain observer store,
+    // no timing effect).
+    w.prof_consumed = true;
+    if (prof_ != nullptr)
         prof_progress_ |= 1ull << std::uint64_t(r.slot);
-        w.prof_consumed = true;
-    } else if (mscope_ != nullptr) {
-        // The topology profiler shares the phase flag (plain observer
-        // store, no timing effect).
-        w.prof_consumed = true;
-    }
 
-    if (w.record_timeline)
-        for (int t = 0; t < kWarpSize; ++t)
-            recordBusyEdge(r.slot, t, now);
     recordRayEdges(r.slot, w, now);
 
     maybeRetire(r.slot, now);
@@ -805,13 +750,6 @@ RtUnit::maybeRetire(int slot, std::uint64_t now)
     if (latency_hist_ != nullptr)
         latency_hist_->record(lat);
 
-    if (w.record_timeline) {
-        for (int t = 0; t < kWarpSize; ++t)
-            timeline_->setBusy(t, now, false);
-        timeline_slot_ = -1;
-        timeline_armed_ = false; // record one warp per arm
-    }
-
     if (ray_ != nullptr)
         ray_->onRetire(slot, now);
 
@@ -826,22 +764,14 @@ RtUnit::maybeRetire(int slot, std::uint64_t now)
 }
 
 void
-RtUnit::recordBusyEdge(int slot, int tid, std::uint64_t now)
-{
-    if (timeline_ == nullptr || slot != timeline_slot_)
-        return;
-    const WarpEntry &w = warps_[std::size_t(slot)];
-    timeline_->setBusy(tid, now, threadBusy(w.th[std::size_t(tid)]));
-}
-
-void
 RtUnit::recordRayEdges(int slot, const WarpEntry &w, std::uint64_t now)
 {
     if (ray_ == nullptr || !ray_->wantLaneEdges(slot))
         return;
-    // All-lane edges at every state-changing site; the timeline
-    // recorder registers transitions only, so this reproduces the
-    // legacy armTimeline recording exactly (fig11).
+    // All-lane edges at every state-changing site (issue, LBU,
+    // response; the recorder adds submit and retire itself). The
+    // timeline recorder registers transitions only, so
+    // laneTimeline() replays these into fig11's busy bars.
     for (int t = 0; t < kWarpSize; ++t)
         ray_->onLaneEdge(slot, t, threadBusy(w.th[std::size_t(t)]),
                          now);
@@ -1195,15 +1125,5 @@ RtUnit::auditInvariants(std::uint64_t now) const
     }
 }
 #endif // COOPRT_CHECK_ENABLED
-
-void
-RtUnit::armTimeline(stats::TimelineRecorder *recorder,
-                    int skip_submissions)
-{
-    timeline_ = recorder;
-    timeline_armed_ = true;
-    timeline_slot_ = -1;
-    timeline_skip_ = skip_submissions;
-}
 
 } // namespace cooprt::rtunit

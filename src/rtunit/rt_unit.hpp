@@ -44,7 +44,6 @@
 #include "memscope/memscope.hpp"
 #include "prof/prof.hpp"
 #include "rtunit/trace_config.hpp"
-#include "stats/timeline.hpp"
 #include "trace/chrome_trace.hpp"
 #include "trace/registry.hpp"
 
@@ -151,8 +150,18 @@ class RtUnit
     /** Invoked when a warp's trace_ray retires. */
     using RetireFn = std::function<void(int slot, const TraceResult &)>;
 
+    /** Serving level of the most recent fetch (see MemorySystem). */
+    using LevelFn = std::function<cooprt::prof::MemLevel()>;
+
+    /**
+     * @param level Serving-level reader for the attached observers
+     *        (profiler, ray recorder, memscope). Read right after
+     *        each fetch, and only when one of them is attached; null
+     *        reports every fetch as served by L1.
+     */
     RtUnit(const bvh::FlatBvh &bvh, const scene::Mesh &mesh,
-           const TraceConfig &config, FetchFn fetch);
+           const TraceConfig &config, FetchFn fetch,
+           LevelFn level = nullptr);
     ~RtUnit();
 
     RtUnit(const RtUnit &) = delete;
@@ -173,45 +182,41 @@ class RtUnit
     void attachTrace(cooprt::trace::Registry *registry,
                      cooprt::trace::Tracer *tracer, int sm_id);
 
-    /** Serving level of the most recent fetch (see MemorySystem). */
-    using ProfLevelFn = std::function<cooprt::prof::MemLevel()>;
-
     /**
      * Attach the stall-attribution profiler: every warp-resident
      * cycle is classified into @p profile per the `cooprt::prof`
      * taxonomy (the sum over buckets equals the warp's trace latency
-     * exactly). @p level attributes response-starved cycles to the
-     * memory level that serves them; a null @p level attributes all
-     * of them to L1. Null @p profile (the default) disables the
+     * exactly); response-starved cycles go to the memory level that
+     * serves them. Null @p profile (the default) disables the
      * profiler entirely: no per-cycle work runs and simulated
      * behaviour is bit-identical.
      */
-    void attachProf(cooprt::prof::RtUnitProfile *profile,
-                    ProfLevelFn level);
+    void attachProf(cooprt::prof::RtUnitProfile *profile)
+    { prof_ = profile; }
 
     /**
      * Attach the ray-level provenance recorder (`cooprt::raytrace`):
      * lifecycle events of the recorder's sampled rays — launch,
-     * pops/pushes, fetches with serving level from @p level, leaf
-     * tests, LBU steals, retirement — are logged cycle-stamped.
-     * Null @p recorder (the default) disables recording; hot paths
-     * then pay one pointer test and simulated behaviour is
-     * bit-identical (pinned-cycle proof in tests/raytrace).
+     * pops/pushes, fetches with their serving level, leaf tests, LBU
+     * steals, retirement — are logged cycle-stamped. Null
+     * @p recorder (the default) disables recording; hot paths then
+     * pay one pointer test and simulated behaviour is bit-identical
+     * (pinned-cycle proof in tests/raytrace).
      */
-    void attachRayTrace(cooprt::raytrace::UnitRecorder *recorder,
-                        ProfLevelFn level);
+    void attachRayTrace(cooprt::raytrace::UnitRecorder *recorder)
+    { ray_ = recorder; }
 
     /**
      * Attach the BVH-topology profiler (`cooprt::memscope`): every
      * coalesced node fetch is tagged into @p scope with the node's
-     * stable id, tree depth, serving level from @p level, consumer
-     * lane count and the warp's traversal phase. Null @p scope (the
-     * default) disables tagging; hot paths then pay one pointer test
-     * and simulated behaviour is bit-identical (pinned-cycle proof in
+     * stable id, tree depth, serving level, consumer lane count and
+     * the warp's traversal phase. Null @p scope (the default)
+     * disables tagging; hot paths then pay one pointer test and
+     * simulated behaviour is bit-identical (pinned-cycle proof in
      * tests/memscope).
      */
-    void attachMemscope(cooprt::memscope::UnitScope *scope,
-                        ProfLevelFn level);
+    void attachMemscope(cooprt::memscope::UnitScope *scope)
+    { mscope_ = scope; }
 
     /**
      * Component path used by `cooprt::check` violations (default
@@ -258,16 +263,6 @@ class RtUnit
     ThreadStatusCounts threadStatus() const;
 
     /**
-     * Attach a Fig.-11 style timeline recorder to warp-buffer slot
-     * activity: after skipping @p skip_submissions trace_rays, the
-     * next submitted warp is recorded until it retires. Skipping lets
-     * callers capture a late (divergent) trace instead of the
-     * coherent primary one, as the paper's Fig. 11 does.
-     */
-    void armTimeline(stats::TimelineRecorder *recorder,
-                     int skip_submissions = 0);
-
-    /**
      * Share another RT unit's intersection-predictor table (a
      * GPU-wide predictor, so spatial locality between warps on
      * different SMs is not fragmented). No-op when the predictor is
@@ -312,10 +307,9 @@ class RtUnit
         int outstanding = 0;    ///< in-flight responses
         std::uint64_t issue_cycle = 0;
         RetireFn on_retire;
-        bool record_timeline = false;
         /** First cycle not yet stall-attributed (profiler only). */
         std::uint64_t prof_from = 0;
-        /** Consumed any response yet (profiler phase tracking). */
+        /** Consumed any response yet (observer phase tracking). */
         bool prof_consumed = false;
     };
 
@@ -368,7 +362,6 @@ class RtUnit
     void predictorSeed(WarpEntry &w, int tid);
     void predictorLearn(const WarpEntry &w);
     void maybeRetire(int slot, std::uint64_t now);
-    void recordBusyEdge(int slot, int tid, std::uint64_t now);
     /** All-lane busy edges for ray-sampled warps (fig11 timelines). */
     void recordRayEdges(int slot, const WarpEntry &w, std::uint64_t now);
 
@@ -376,6 +369,8 @@ class RtUnit
     const scene::Mesh &mesh_;
     TraceConfig cfg_;
     FetchFn fetch_;
+    /** Serving-level reader shared by the observers below. */
+    LevelFn level_;
     RtUnitStats stats_;
 
     std::vector<WarpEntry> warps_;
@@ -389,11 +384,6 @@ class RtUnit
      * outstanding responses per warp slot.
      */
     std::vector<Response> responses_;
-
-    stats::TimelineRecorder *timeline_ = nullptr;
-    int timeline_slot_ = -1;
-    bool timeline_armed_ = false;
-    int timeline_skip_ = 0;
 
     /**
      * Intersection-predictor table: prim id or UINT32_MAX. May be
@@ -419,15 +409,10 @@ class RtUnit
     void profAccount(std::uint64_t now, bool end_of_tick);
 
     cooprt::prof::RtUnitProfile *prof_ = nullptr;
-    ProfLevelFn prof_level_;
     /** Ray provenance recorder (dormant while null; see attachRayTrace). */
     cooprt::raytrace::UnitRecorder *ray_ = nullptr;
-    /** Serving-level reader for sampled-ray fetch events. */
-    ProfLevelFn ray_level_;
     /** BVH-topology profiler (dormant while null; see attachMemscope). */
     cooprt::memscope::UnitScope *mscope_ = nullptr;
-    /** Serving-level reader for memscope fetch tagging. */
-    ProfLevelFn mscope_level_;
     /** Slots that issued a fetch or consumed a response this tick. */
     std::uint64_t prof_progress_ = 0;
     /** Slots the LBU served this tick. */

@@ -172,7 +172,7 @@ TEST_F(MutationTest, ProfMisattribution)
                      prof::RtUnitProfile profile;
                      RtHarness h(testutil::makeSoup(8, 2000),
                                  TraceConfig{});
-                     h.unit.attachProf(&profile, nullptr);
+                     h.unit.attachProf(&profile);
                      h.runOne(testutil::frontalJob(rtunit::kWarpSize));
                  });
 }
@@ -207,7 +207,7 @@ TEST_F(MutationTest, RayProvenanceDrop)
             TraceConfig coop;
             coop.coop = true;
             RtHarness h(testutil::makeSoup(8, 2000), coop);
-            h.unit.attachRayTrace(&rec, nullptr);
+            h.unit.attachRayTrace(&rec);
             h.runOne(testutil::frontalJob(1)); // steal-heavy warp
         });
 }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/simulation.hpp"
+#include "raytrace/raytrace.hpp"
 
 namespace {
 
@@ -120,10 +121,18 @@ TEST(Simulation, FilmOutputFilled)
 TEST(Simulation, TimelineRecorded)
 {
     const Simulation &sim = core::simulationFor("bath");
-    stats::TimelineRecorder rec(rtunit::kWarpSize);
+    raytrace::RecorderConfig rcfg;
+    rcfg.sample_k = rtunit::kWarpSize;
+    rcfg.max_warps_per_unit = 1;
+    rcfg.lane_timeline = true;
+    raytrace::Recorder ray(rcfg);
     RunConfig c = smallCfg(16);
     c.gpu.trace.coop = true;
-    sim.run(c, nullptr, &rec);
+    c.ray_recorder = &ray;
+    sim.run(c);
+    const auto &sm0 = ray.unit(0).warps();
+    ASSERT_EQ(sm0.size(), 1u);
+    const stats::TimelineRecorder rec = raytrace::laneTimeline(sm0[0]);
     std::uint64_t busy = 0;
     for (int t = 0; t < rtunit::kWarpSize; ++t)
         busy += rec.busyCycles(t);

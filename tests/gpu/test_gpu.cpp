@@ -8,6 +8,7 @@
 
 #include "bvh/traversal.hpp"
 #include "gpu_test_util.hpp"
+#include "raytrace/raytrace.hpp"
 
 namespace {
 
@@ -45,13 +46,14 @@ struct Fixture
     GpuRunResult
     run(const gpu::GpuConfig &cfg,
         std::vector<ScriptedProgram> &programs,
-        stats::TimelineRecorder *timeline = nullptr)
+        raytrace::Recorder *ray = nullptr)
     {
         Gpu g(flat, mesh, cfg);
+        g.setRayTrace(ray);
         std::vector<gpu::WarpProgram *> ptrs;
         for (auto &p : programs)
             ptrs.push_back(&p);
-        return g.run(ptrs, timeline);
+        return g.run(ptrs);
     }
 
     std::vector<ScriptedProgram>
@@ -276,9 +278,15 @@ TEST(Gpu, TimelineRecorderThroughGpuRun)
 {
     Fixture f;
     auto programs = f.makePrograms(4, 1, 99);
-    stats::TimelineRecorder rec(kWarpSize);
-    GpuRunResult r = f.run(tinyGpu(true), programs, &rec);
-    (void)r;
+    raytrace::RecorderConfig rcfg;
+    rcfg.sample_k = kWarpSize;
+    rcfg.max_warps_per_unit = 1;
+    rcfg.lane_timeline = true;
+    raytrace::Recorder ray(rcfg);
+    f.run(tinyGpu(true), programs, &ray);
+    const auto &sm0 = ray.unit(0).warps();
+    ASSERT_EQ(sm0.size(), 1u);
+    const stats::TimelineRecorder rec = raytrace::laneTimeline(sm0[0]);
     std::uint64_t busy = 0;
     for (int t = 0; t < kWarpSize; ++t)
         busy += rec.busyCycles(t);

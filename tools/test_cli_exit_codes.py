@@ -8,7 +8,8 @@ Successful informational paths (``--list-configs``) must exit 0.
 
 Registered as a ctest case; the binary paths arrive on argv:
 
-    test_cli_exit_codes.py SIMULATE_CLI CAMPAIGN_CLI BENCH_BIN DIFF_CLI
+    test_cli_exit_codes.py SIMULATE_CLI CAMPAIGN_CLI BENCH_BIN DIFF_CLI \
+        WARP_TIMELINE
 """
 
 from __future__ import annotations
@@ -46,10 +47,10 @@ def expect(argv: list[str], code: int, on_stderr: str = "") -> None:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 5:
+    if len(argv) != 6:
         print(__doc__, file=sys.stderr)
         return 2
-    simulate, campaign, bench, diff_cli = argv[1:]
+    simulate, campaign, bench, diff_cli, warp_timeline = argv[1:]
 
     # simulate_cli: every malformed invocation is a usage error.
     expect([simulate, "--no-such-flag"], 2, "unknown flag")
@@ -194,6 +195,16 @@ def main(argv: list[str]) -> int:
                 os.path.join(tmp, "missing"), "--diff-out",
                 os.path.join(tmp, "d.ndjson")], 2,
                "not a directory")
+
+    # warp_timeline: a skip SM 0 never reaches is a failure naming
+    # the skip, not two empty timelines; a reachable one draws both.
+    expect([warp_timeline, "wknd", "80", "100000"], 1, "100000")
+    p = run([warp_timeline, "wknd", "80", "7"])
+    spans = [l for l in p.stdout.splitlines() if "span" in l]
+    if p.returncode != 0 or len(spans) != 2:
+        FAILURES.append(
+            f"{warp_timeline} wknd 80 7: exit {p.returncode}, "
+            f"{len(spans)} span lines, want exit 0 and 2")
 
     if FAILURES:
         print("test_cli_exit_codes: FAIL")

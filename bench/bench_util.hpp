@@ -21,6 +21,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "core/cli.hpp"
+#include "core/observers.hpp"
 #include "core/simulation.hpp"
 #include "exec/exec.hpp"
 #include "stats/table.hpp"
@@ -87,7 +89,8 @@ parse(int argc, char **argv, std::vector<cli::Flag> extra = {})
 
 /**
  * Print @p table per the --csv flag; with --json-out, also append
- * it as one JSON line tagged with the current banner name.
+ * it as one JSON line tagged with the current banner name. A JSON
+ * line that cannot be appended in full exits 1 naming the file.
  */
 inline void
 emit(const stats::Table &table, const Options &opt)
@@ -98,21 +101,26 @@ emit(const stats::Table &table, const Options &opt)
         table.print(std::cout);
     if (opt.json_out.empty())
         return;
-    std::ofstream os(opt.json_out, std::ios::app);
-    if (!os) {
-        std::fprintf(stderr, "[bench] cannot append to %s\n",
-                     opt.json_out.c_str());
-        return;
+    try {
+        core::writeFile(
+            opt.json_out,
+            [&](std::ostream &os) {
+                // The build stamp is constant per binary, so lines
+                // stay byte-identical across --jobs while recording
+                // which tree and toolchain produced each bench
+                // trajectory point.
+                os << "{\"schema_version\":" << trace::kSchemaVersion
+                   << ",\"bench\":" << trace::quoteJson(opt.bench_name)
+                   << ",\"build\":" << telemetry::buildInfoJson()
+                   << ",\"table\":";
+                table.printJson(os);
+                os << "}\n";
+            },
+            std::ios::app);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "[bench] error: %s\n", e.what());
+        std::exit(1);
     }
-    // The build stamp is constant per binary, so lines stay
-    // byte-identical across --jobs while recording which tree and
-    // toolchain produced each bench trajectory point.
-    os << "{\"schema_version\":" << trace::kSchemaVersion
-       << ",\"bench\":" << trace::quoteJson(opt.bench_name)
-       << ",\"build\":" << telemetry::buildInfoJson()
-       << ",\"table\":";
-    table.printJson(os);
-    os << "}\n";
 }
 
 /** Progress note on stderr (kept off the table output). */

@@ -197,6 +197,13 @@ main(int argc, char **argv)
     } catch (const std::invalid_argument &e) {
         return cli::usageError(cmd.name, e.what());
     }
+    // The snapshot is published by renaming a temp file onto the
+    // path, which would replace a device, FIFO or directory there.
+    if (!prom_out.empty() && std::filesystem::exists(prom_out) &&
+        !std::filesystem::is_regular_file(prom_out))
+        return cli::usageError(cmd.name, "--prom-out " + prom_out +
+                                             " exists and is not a "
+                                             "regular file");
     if (!diff_baseline.empty() &&
         !std::filesystem::is_directory(diff_baseline)) {
         std::cerr << "error: --diff-baseline " << diff_baseline
@@ -356,6 +363,8 @@ main(int argc, char **argv)
         }
     };
     try {
+        if (telemetry_log_os.is_open())
+            core::checkWritten(telemetry_log_os, telemetry_log);
         emit(json_out, json_lines, std::ios::app);
         if (!diff_baseline.empty())
             emit(diff_out, diff_lines, std::ios::out);
@@ -401,6 +410,13 @@ main(int argc, char **argv)
         t.printCsv(table_os);
     else
         t.print(table_os);
+    try {
+        if (&table_os == &std::cout)
+            core::checkWritten(std::cout, "stdout");
+    } catch (const std::exception &e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return 1;
+    }
 
     const auto &st = campaign.stats();
     std::fprintf(stderr,

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "core/cli.hpp"
+#include "core/observers.hpp"
 #include "diff/diff.hpp"
 
 namespace {
@@ -212,6 +213,21 @@ main(int argc, char **argv)
             cooprt::diff::writeMarkdown(md_file, d);
         }
         first = false;
+    }
+    // A diff that cannot be written in full is a failure naming the
+    // file, never a silent success.
+    try {
+        if (!quiet)
+            cooprt::core::checkWritten(std::cout, "stdout");
+        if (json_os != nullptr)
+            cooprt::core::checkWritten(*json_os,
+                               json_os == &std::cout ? "stdout"
+                                                     : json_out);
+        if (md_file.is_open())
+            cooprt::core::checkWritten(md_file, markdown_out);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "[diff] %s\n", e.what());
+        return 1;
     }
     return any_mismatch ? 2 : 0;
 }

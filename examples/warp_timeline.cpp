@@ -33,8 +33,10 @@ main(int argc, char **argv)
     const int skip = argc > 3 ? cli::argNumber("skip", argv[3], 0) : 40;
     if (!scene::SceneRegistry::has(label)) {
         std::fprintf(stderr,
-                     "usage: warp_timeline [scene] [columns] [skip]\n");
-        return 1;
+                     "warp_timeline: unknown scene '%s'\n"
+                     "usage: warp_timeline [scene] [columns] [skip]\n",
+                     label.c_str());
+        return 2;
     }
     const core::Simulation &sim = core::simulationFor(label);
 

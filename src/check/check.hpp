@@ -154,6 +154,8 @@ enum class Mutation
     RayProvenanceDrop,
     /** Memscope drops one line's serving-level attribution. */
     MemscopeMisattribution,
+    /** RT unit clears a pending flag but not its lane-mask bit. */
+    StaleLaneMask,
 };
 
 /** Stable name of @p m ("DoubleConsumeResponse", ...). */

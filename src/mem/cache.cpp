@@ -31,10 +31,9 @@ Cache::outstandingLines() const
 {
     std::vector<MshrEntry> out;
     out.reserve(outstanding_.size());
-    // cooprt-lint: allow(nondeterministic-iteration) snapshot is
-    // sorted immediately below; hash-order appends cannot leak out
-    for (const auto &[line, mshr] : outstanding_)
-        out.push_back({line, mshr.ready, mshr.sectors});
+    outstanding_.forEach([&](std::uint64_t line, const Mshr &m) {
+        out.push_back({line, m.ready, m.sectors});
+    });
     std::sort(out.begin(), out.end(),
               [](const MshrEntry &a, const MshrEntry &b) {
                   return a.line < b.line;
@@ -54,7 +53,15 @@ Cache::Cache(const CacheConfig &config) : cfg_(config)
         if (num_sets_ == 0)
             num_sets_ = 1;
     }
-    sets_.resize(num_sets_);
+    const std::size_t slots = std::size_t(num_sets_) * ways_;
+    tag_.assign(slots, 0);
+    sectors_.assign(slots, 0);
+    prev_.assign(slots, kNil);
+    next_.assign(slots, kNil);
+    head_.assign(num_sets_, kNil);
+    tail_.assign(num_sets_, kNil);
+    count_.assign(num_sets_, 0);
+    index_ = LineTable<std::uint32_t>(slots);
 }
 
 std::uint32_t
@@ -63,55 +70,76 @@ Cache::setOf(std::uint64_t line) const
     return std::uint32_t(line % num_sets_);
 }
 
+void
+Cache::unlink(std::uint32_t set, std::uint32_t slot)
+{
+    const std::uint32_t p = prev_[slot], n = next_[slot];
+    (p == kNil ? head_[set] : next_[p]) = n;
+    (n == kNil ? tail_[set] : prev_[n]) = p;
+}
+
+void
+Cache::linkFront(std::uint32_t set, std::uint32_t slot)
+{
+    const std::uint32_t h = head_[set];
+    prev_[slot] = kNil;
+    next_[slot] = h;
+    (h == kNil ? tail_[set] : prev_[h]) = slot;
+    head_[set] = slot;
+}
+
 std::uint32_t
 Cache::lookupAndTouch(std::uint64_t line, std::uint32_t add_sectors)
 {
-    Set &s = sets_[setOf(line)];
-    auto it = s.where.find(line);
-    if (it == s.where.end())
+    const std::uint32_t *slot = index_.find(line);
+    if (slot == nullptr)
         return 0;
-    s.lru.splice(s.lru.begin(), s.lru, it->second.pos); // touch to MRU
-    it->second.sectors |= add_sectors;
-    return it->second.sectors;
+    const std::uint32_t set = setOf(line);
+    if (head_[set] != *slot) { // touch to MRU
+        unlink(set, *slot);
+        linkFront(set, *slot);
+    }
+    sectors_[*slot] |= add_sectors;
+    return sectors_[*slot];
 }
 
 bool
 Cache::contains(std::uint64_t line) const
 {
-    const Set &s = sets_[setOf(line)];
-    return s.where.find(line) != s.where.end();
+    return index_.find(line) != nullptr;
 }
 
 void
 Cache::insert(std::uint64_t line, std::uint32_t sectors)
 {
-    Set &s = sets_[setOf(line)];
-    auto it = s.where.find(line);
-    if (it != s.where.end()) {
-        it->second.sectors |= sectors;
+    if (const std::uint32_t *slot = index_.find(line)) {
+        sectors_[*slot] |= sectors;
         return;
     }
-    if (s.lru.size() >= ways_) {
-        s.where.erase(s.lru.back());
-        s.lru.pop_back();
+    const std::uint32_t set = setOf(line);
+    std::uint32_t slot;
+    if (count_[set] >= ways_) {
+        slot = tail_[set]; // evict the LRU line, reuse its slot
+        index_.erase(tag_[slot]);
+        unlink(set, slot);
+    } else {
+        slot = set * ways_ + count_[set]++;
     }
-    s.lru.push_front(line);
-    s.where[line] = Way{s.lru.begin(), sectors};
+    tag_[slot] = line;
+    sectors_[slot] = sectors;
+    linkFront(set, slot);
+    index_[line] = slot;
 }
 
 void
 Cache::maybeCompactOutstanding(std::uint64_t now)
 {
-    // Drop completed fills occasionally so the MSHR map stays small.
+    // Drop completed fills occasionally so the MSHR table stays small.
     if (outstanding_.size() < 4096 || now - last_compact_ < 10000)
         return;
     last_compact_ = now;
-    for (auto it = outstanding_.begin(); it != outstanding_.end();) {
-        if (it->second.ready <= now)
-            it = outstanding_.erase(it);
-        else
-            ++it;
-    }
+    outstanding_.eraseIf(
+        [now](std::uint64_t, const Mshr &m) { return m.ready <= now; });
 }
 
 #if COOPRT_CHECK_ENABLED
@@ -133,23 +161,40 @@ Cache::auditInvariants(std::uint64_t line, std::uint64_t now) const
                      std::to_string(stats_.sector_misses) +
                      " > misses=" + std::to_string(stats_.misses));
 
-    // The touched set's LRU list and tag map mirror each other and
-    // respect the associativity bound.
-    const Set &s = sets_[setOf(line)];
-    COOPRT_AUDIT(check_label_, "mem.cache_lru_consistent", now,
-                 s.lru.size() == s.where.size() &&
-                     s.lru.size() <= ways_,
-                 "set " + std::to_string(setOf(line)) + " lru=" +
-                     std::to_string(s.lru.size()) + " map=" +
-                     std::to_string(s.where.size()) + " ways=" +
-                     std::to_string(ways_));
-    for (auto it = s.lru.begin(); it != s.lru.end(); ++it) {
-        auto w = s.where.find(*it);
+    // The touched set's LRU list and the line index mirror each
+    // other: every listed slot belongs to the set and is what the
+    // index maps its tag to, the links are mutual, and the list
+    // holds exactly the set's live count (at most ways). Together
+    // with index size == live slots overall, no index entry dangles.
+    const std::uint32_t set = setOf(line);
+    std::uint32_t listed = 0;
+    std::uint32_t prev = kNil;
+    for (std::uint32_t slot = head_[set];
+         slot != kNil && listed <= ways_; slot = next_[slot]) {
+        const std::uint32_t *where = index_.find(tag_[slot]);
         COOPRT_AUDIT(check_label_, "mem.cache_lru_consistent", now,
-                     w != s.where.end() && w->second.pos == it,
-                     "line " + std::to_string(*it) +
-                         " on the LRU list lacks a matching tag");
+                     slot / ways_ == set && prev_[slot] == prev &&
+                         setOf(tag_[slot]) == set && where != nullptr &&
+                         *where == slot,
+                     "set " + std::to_string(set) + " slot " +
+                         std::to_string(slot) + " (line " +
+                         std::to_string(tag_[slot]) +
+                         ") lacks a matching index entry or link");
+        prev = slot;
+        ++listed;
     }
+    std::size_t live = 0;
+    for (std::uint32_t c : count_)
+        live += c;
+    COOPRT_AUDIT(check_label_, "mem.cache_lru_consistent", now,
+                 listed == count_[set] && count_[set] <= ways_ &&
+                     tail_[set] == prev && index_.size() == live,
+                 "set " + std::to_string(set) + " lru=" +
+                     std::to_string(listed) + " count=" +
+                     std::to_string(count_[set]) + " ways=" +
+                     std::to_string(ways_) + " index=" +
+                     std::to_string(index_.size()) + " live=" +
+                     std::to_string(live));
 }
 #endif // COOPRT_CHECK_ENABLED
 
@@ -164,10 +209,10 @@ Cache::resetTiming()
 void
 Cache::reset()
 {
-    for (auto &s : sets_) {
-        s.lru.clear();
-        s.where.clear();
-    }
+    std::fill(head_.begin(), head_.end(), kNil);
+    std::fill(tail_.begin(), tail_.end(), kNil);
+    std::fill(count_.begin(), count_.end(), 0u);
+    index_.clear();
     outstanding_.clear();
     stats_ = CacheStats{};
 }

@@ -18,12 +18,11 @@
 #define COOPRT_MEM_CACHE_HPP
 
 #include <cstdint>
-#include <list>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "check/check.hpp"
+#include "mem/line_table.hpp"
 #include "memscope/memscope.hpp"
 #include "trace/registry.hpp"
 
@@ -94,11 +93,10 @@ class Cache
 
     /**
      * Snapshot of the in-flight fills, sorted by line address. The
-     * MSHR table itself is an unordered_map, so anything that emits,
+     * MSHR table itself is hash-ordered, so anything that emits,
      * audits or compares in-flight state must go through this
      * accessor — hash order is not part of the simulator's
-     * deterministic surface (cooprt-lint: nondeterministic-iteration
-     * rejects direct iteration into a sink).
+     * deterministic surface.
      */
     std::vector<MshrEntry> outstandingLines() const;
 
@@ -194,13 +192,13 @@ class Cache
         // secondary miss) and wait for the in-flight data; checked
         // before the tag lookup because the line and its sector bits
         // are installed at miss time.
-        auto mshr = outstanding_.find(line);
-        if (mshr != outstanding_.end() && mshr->second.ready > now &&
-            (sectors & ~mshr->second.sectors) == 0) {
+        if (const Mshr *mshr = outstanding_.find(line);
+            mshr != nullptr && mshr->ready > now &&
+            (sectors & ~mshr->sectors) == 0) {
             stats_.mshr_merges++;
             lookupAndTouch(line, 0);
             COOPRT_CHECK_ONLY(auditInvariants(line, now);)
-            return mshr->second.ready;
+            return mshr->ready;
         }
         const std::uint32_t resident = lookupAndTouch(line, 0);
         std::uint32_t missing = sectors & ~resident;
@@ -274,21 +272,30 @@ class Cache
     std::uint32_t num_sets_;
     std::uint32_t ways_;
 
+    /** Null link of the intrusive LRU lists. */
+    static constexpr std::uint32_t kNil = ~std::uint32_t(0);
+
+    /** Unlink tag slot @p slot from its set's LRU list. */
+    void unlink(std::uint32_t set, std::uint32_t slot);
+    /** Link tag slot @p slot in as its set's MRU entry. */
+    void linkFront(std::uint32_t set, std::uint32_t slot);
+
     /**
-     * Per-set LRU list (front = MRU) plus a map from line to its list
-     * position and resident-sector mask for O(1) touch.
+     * Flat tag store: slot = set * ways + way holds the resident
+     * line and its sector mask. Each set's slots form an intrusive
+     * doubly-linked LRU list (head = MRU, tail = LRU); a set fills
+     * its slots in order and afterwards only recycles its tail, so
+     * slots [set*ways, set*ways + count) are the live ones.
      */
-    struct Way
-    {
-        std::list<std::uint64_t>::iterator pos;
-        std::uint32_t sectors = 0;
-    };
-    struct Set
-    {
-        std::list<std::uint64_t> lru; // front = most recent
-        std::unordered_map<std::uint64_t, Way> where;
-    };
-    std::vector<Set> sets_;
+    std::vector<std::uint64_t> tag_;
+    std::vector<std::uint32_t> sectors_;
+    std::vector<std::uint32_t> prev_;
+    std::vector<std::uint32_t> next_;
+    std::vector<std::uint32_t> head_;
+    std::vector<std::uint32_t> tail_;
+    std::vector<std::uint32_t> count_;
+    /** Resident line -> tag slot, over all sets. */
+    LineTable<std::uint32_t> index_;
 
     /** In-flight fill: ready cycle + sectors being filled. */
     struct Mshr
@@ -296,7 +303,7 @@ class Cache
         std::uint64_t ready = 0;
         std::uint32_t sectors = 0;
     };
-    std::unordered_map<std::uint64_t, Mshr> outstanding_;
+    LineTable<Mshr> outstanding_;
     std::uint64_t last_compact_ = 0;
     memscope::CacheScope *mscope_ = nullptr; // borrowed, may be null
 

@@ -129,6 +129,7 @@ RtUnit::predictorSeed(WarpEntry &w, int tid)
     // min_thit safely — traversal will still find anything closer.
     stats_.predictor_hits++;
     w.min_thit[std::size_t(tid)] = thit;
+    limitDropped(w, tid);
     geom::HitRecord &rec = w.hit[std::size_t(tid)];
     rec.thit = thit;
     rec.prim_id = prim;
@@ -188,7 +189,7 @@ RtUnit::submit(const TraceJob &job, std::uint64_t now, RetireFn on_retire)
         throw std::runtime_error("RtUnit::submit: warp buffer full");
 
     WarpEntry &w = warps_[std::size_t(slot)];
-    w = WarpEntry{};
+    resetEntry(w);
     w.valid = true;
     w.any_hit = job.any_hit;
     w.query = job.query;
@@ -207,8 +208,7 @@ RtUnit::submit(const TraceJob &job, std::uint64_t now, RetireFn on_retire)
         const float t_root = bvh_.rootBounds().intersect(
             th.ray, th.ray.tmax);
         if (t_root != kNoHit && bvh_.primCount() > 0)
-            th.stack.push_back(
-                {bvh_.root(), t_root, std::int8_t(t)});
+            pushWork(w, t, {bvh_.root(), t_root, std::int8_t(t)});
         // Query rays have no meaningful triangle intersection: the
         // predictor would seed from (and later learn) degenerate
         // proxy hits, polluting the shared table.
@@ -223,15 +223,11 @@ RtUnit::submit(const TraceJob &job, std::uint64_t now, RetireFn on_retire)
         // Sampling decision + launch events; before maybeRetire so a
         // warp whose rays all missed the scene box still records its
         // (instant) lifecycle.
-        std::uint32_t active_mask = 0, root_mask = 0;
-        for (int t = 0; t < kWarpSize; ++t) {
-            const ThreadState &th = w.th[std::size_t(t)];
-            if (th.active)
+        std::uint32_t active_mask = 0;
+        for (int t = 0; t < kWarpSize; ++t)
+            if (w.th[std::size_t(t)].active)
                 active_mask |= 1u << t;
-            if (!th.stack.empty())
-                root_mask |= 1u << t;
-        }
-        ray_->onSubmit(slot, now, active_mask, root_mask);
+        ray_->onSubmit(slot, now, active_mask, w.work);
     }
 
     // A warp whose rays all missed the scene box retires immediately.
@@ -253,6 +249,18 @@ RtUnit::submit(const TraceJob &job, std::uint64_t now, RetireFn on_retire)
     return slot;
 }
 
+ThreadStatusCounts
+RtUnit::laneStatus(const WarpEntry &w)
+{
+    const std::uint32_t busy = w.work | w.pend;
+    ThreadStatusCounts c;
+    c.busy = std::uint64_t(std::popcount(busy));
+    for (int t = 0; t < kWarpSize; ++t)
+        if (((busy >> t) & 1) == 0)
+            (w.th[std::size_t(t)].active ? c.waiting : c.inactive)++;
+    return c;
+}
+
 float
 RtUnit::searchLimit(const WarpEntry &w, int main) const
 {
@@ -261,17 +269,75 @@ RtUnit::searchLimit(const WarpEntry &w, int main) const
     return mt < owner.ray.tmax ? mt : owner.ray.tmax;
 }
 
-RtUnit::StackEntry
-RtUnit::popWork(ThreadState &t) const
+std::uint32_t
+RtUnit::subwarpMask(int tid) const
 {
-    StackEntry e;
-    if (cfg_.order == TraversalOrder::Dfs) {
-        e = t.stack.back();
-        t.stack.pop_back();
-    } else {
-        e = t.stack.front();
-        t.stack.pop_front();
+    const int lo = tid - tid % cfg_.subwarp_size;
+    return std::uint32_t(((1ull << cfg_.subwarp_size) - 1) << lo);
+}
+
+void
+RtUnit::stackChanged(WarpEntry &w, int tid)
+{
+    const std::uint32_t bit = 1u << tid;
+    const std::size_t depth = w.th[std::size_t(tid)].stack.size();
+    w.work = depth > 0 ? w.work | bit : w.work & ~bit;
+    w.deep = depth > 1 ? w.deep | bit : w.deep & ~bit;
+    w.dirty |= bit;
+}
+
+void
+RtUnit::setPending(WarpEntry &w, int tid, bool pending) const
+{
+    w.th[std::size_t(tid)].pending = pending;
+    // Seeded bug: the flag moves but its mask bit does not — the
+    // class of defect rtunit.lane_masks_consistent exists to catch.
+    if (!pending && COOPRT_MUTATE(StaleLaneMask))
+        return;
+    const std::uint32_t bit = 1u << tid;
+    w.pend = pending ? w.pend | bit : w.pend & ~bit;
+}
+
+void
+RtUnit::limitDropped(WarpEntry &w, int main) const
+{
+    // A helper may hold the owner's entries only within its subwarp.
+    w.dirty |= cfg_.coop ? subwarpMask(main) : 1u << main;
+}
+
+void
+RtUnit::resetEntry(WarpEntry &w)
+{
+    w.valid = false;
+    w.any_hit = false;
+    w.query = geom::QueryKind::None;
+    for (ThreadState &th : w.th) {
+        th.ray = Ray{};
+        th.active = false;
+        th.main_tid = 0;
+        th.stack.clear();
+        th.pending = false;
+        th.pending_ref = NodeRef{};
+        th.pending_main = 0;
     }
+    w.min_thit.fill(kNoHit);
+    w.hit.fill(geom::HitRecord{});
+    w.outstanding = 0;
+    w.issue_cycle = 0;
+    w.on_retire = nullptr;
+    w.prof_from = 0;
+    w.prof_consumed = false;
+    w.work = w.deep = w.pend = w.dirty = 0;
+}
+
+RtUnit::StackEntry
+RtUnit::popWork(WarpEntry &w, int tid) const
+{
+    ThreadState &t = w.th[std::size_t(tid)];
+    const StackEntry e = cfg_.order == TraversalOrder::Dfs
+                             ? t.stack.pop_back()
+                             : t.stack.pop_front();
+    stackChanged(w, tid);
     return e;
 }
 
@@ -283,22 +349,22 @@ RtUnit::peekWork(const ThreadState &t) const
 }
 
 RtUnit::StackEntry
-RtUnit::popSteal(ThreadState &t) const
+RtUnit::popSteal(WarpEntry &w, int tid) const
 {
-    StackEntry e;
     if (cfg_.order == TraversalOrder::Bfs || !cfg_.steal_from_bottom) {
         // Paper: helper pops the main's TOS (or queue front for BFS).
-        return const_cast<RtUnit *>(this)->popWork(t);
+        return popWork(w, tid);
     }
     // Ablation: steal the oldest (bottom) entry — largest subtree.
-    e = t.stack.front();
-    t.stack.pop_front();
+    const StackEntry e = w.th[std::size_t(tid)].stack.pop_front();
+    stackChanged(w, tid);
     return e;
 }
 
 void
-RtUnit::pushWork(ThreadState &t, const StackEntry &e)
+RtUnit::pushWork(WarpEntry &w, int tid, const StackEntry &e)
 {
+    ThreadState &t = w.th[std::size_t(tid)];
     t.stack.push_back(e);
     if (int(t.stack.size()) > cfg_.stack_capacity)
         stats_.stack_overflows++;
@@ -309,6 +375,7 @@ RtUnit::pushWork(ThreadState &t, const StackEntry &e)
         for (std::size_t i = 0; i <= check_stack_bound_; ++i)
             t.stack.push_back(e);
 #endif
+    stackChanged(w, tid);
 }
 
 void
@@ -320,7 +387,7 @@ RtUnit::dropStaleWork(int slot, WarpEntry &w, int tid,
         const StackEntry &top = peekWork(t);
         if (top.entry_t < geom::cullLimit(searchLimit(w, top.main)))
             break;
-        const StackEntry dropped = popWork(t);
+        const StackEntry dropped = popWork(w, tid);
         stats_.stale_pops++;
         if (ray_ != nullptr)
             ray_->onPop(slot, tid, dropped.main, dropped.ref.raw(),
@@ -370,18 +437,14 @@ RtUnit::tryIssue(std::uint64_t now)
         if (!w.valid)
             continue;
 
-        // Single pass: pop-time elimination (paper Section 6.1) for
-        // threads with work, and find the first ready thread.
-        int first_ready = -1;
-        for (int t = 0; t < kWarpSize; ++t) {
-            ThreadState &th = w.th[std::size_t(t)];
-            if (th.stack.empty())
-                continue;
-            dropStaleWork(slot, w, t, now);
-            if (first_ready < 0 && !th.pending && !th.stack.empty())
-                first_ready = t;
-        }
-        if (first_ready < 0) {
+        // Pop-time elimination (paper Section 6.1), in ascending
+        // lane order, on the lanes whose TOS may have gone stale
+        // (see WarpEntry); on clean lanes it would drop nothing.
+        for (std::uint32_t m = w.work & w.dirty; m != 0; m &= m - 1)
+            dropStaleWork(slot, w, std::countr_zero(m), now);
+        w.dirty = 0;
+        const std::uint32_t ready = w.work & ~w.pend;
+        if (ready == 0) {
             // Dropping stale entries may have finished this warp.
             maybeRetire(slot, now);
             continue;
@@ -390,17 +453,16 @@ RtUnit::tryIssue(std::uint64_t now)
         // Coalesce: all ready threads whose next node matches the
         // selected unique address pop together and share the fetch.
         const NodeRef ref =
-            peekWork(w.th[std::size_t(first_ready)]).ref;
+            peekWork(w.th[std::size_t(std::countr_zero(ready))]).ref;
         std::uint32_t consumers = 0;
         std::array<std::int8_t, kWarpSize> mains{};
-        for (int t = first_ready; t < kWarpSize; ++t) {
+        for (std::uint32_t m = ready; m != 0; m &= m - 1) {
+            const int t = std::countr_zero(m);
             ThreadState &th = w.th[std::size_t(t)];
-            if (th.pending || th.stack.empty())
-                continue;
             if (!(peekWork(th).ref == ref))
                 continue;
-            const StackEntry e = popWork(th);
-            th.pending = true;
+            const StackEntry e = popWork(w, t);
+            setPending(w, t, true);
             th.pending_ref = ref;
             th.pending_main = e.main;
             mains[std::size_t(t)] = e.main;
@@ -446,13 +508,10 @@ RtUnit::tryIssue(std::uint64_t now)
             // Tag the fetch: stable node id, tree depth, serving
             // level, consumer lanes (the per-depth divergence axis)
             // and the warp's traversal phase. Observation only.
-            bool any_work = false;
-            for (int t = 0; t < kWarpSize && !any_work; ++t)
-                any_work = !w.th[std::size_t(t)].stack.empty();
             mscope_->record(
                 bvh_.nodeIdOf(ref), bvh_.depthOf(ref), int(level),
                 std::popcount(consumers),
-                int(prof::phaseOf(w.prof_consumed, any_work)),
+                int(prof::phaseOf(w.prof_consumed, w.work != 0)),
                 bvh_.fetchBytes(ref));
         }
 
@@ -485,10 +544,8 @@ RtUnit::runLbu(std::uint64_t now)
             continue;
 
         bool any_move = false;
-        const int groups = kWarpSize / cfg_.subwarp_size;
-        for (int g = 0; g < groups; ++g) {
-            const int lo = g * cfg_.subwarp_size;
-            const int hi = lo + cfg_.subwarp_size;
+        for (int lo = 0; lo < kWarpSize; lo += cfg_.subwarp_size) {
+            const std::uint32_t group = subwarpMask(lo);
             for (int move = 0; move < cfg_.lbu_moves_per_cycle;
                  ++move) {
                 // Priority encoders (Fig. 8): lowest-index helper
@@ -496,25 +553,21 @@ RtUnit::runLbu(std::uint64_t now)
                 // an in-flight final fetch does not disqualify it)
                 // and lowest-index main with a stealable node beyond
                 // its own next pop.
-                int helper = -1, main = -1;
-                for (int t = lo; t < hi; ++t) {
-                    const ThreadState &th = w.th[std::size_t(t)];
-                    if (helper < 0 && th.stack.empty() &&
-                        (!cfg_.helper_requires_idle || !th.pending))
-                        helper = t;
-                    if (main < 0 &&
-                        (th.stack.size() >= 2 ||
-                         (th.pending && !th.stack.empty())))
-                        main = t;
-                }
-                if (helper < 0 || main < 0 || helper == main)
+                const std::uint32_t helpers =
+                    group & ~w.work &
+                    (cfg_.helper_requires_idle ? ~w.pend : ~0u);
+                const std::uint32_t mains =
+                    group & (w.deep | (w.pend & w.work));
+                if (helpers == 0 || mains == 0)
                     break;
+                int helper = std::countr_zero(helpers);
+                const int main = std::countr_zero(mains);
 
 #if COOPRT_CHECK_ENABLED
                 // Seeded bug: retarget a busy thread as the helper —
                 // the steal then destroys that thread's own work.
                 if (COOPRT_MUTATE_ARMED(IllegalLbuHelper)) {
-                    for (int t = lo; t < hi; ++t) {
+                    for (int t = lo; t < lo + cfg_.subwarp_size; ++t) {
                         if (t == main ||
                             w.th[std::size_t(t)].stack.empty())
                             continue;
@@ -548,10 +601,9 @@ RtUnit::runLbu(std::uint64_t now)
                 }
 #endif
 
-                ThreadState &ms = w.th[std::size_t(main)];
                 ThreadState &hs = w.th[std::size_t(helper)];
-                const StackEntry stolen = popSteal(ms);
-                pushWork(hs, stolen);
+                const StackEntry stolen = popSteal(w, main);
+                pushWork(w, helper, stolen);
                 if (ray_ != nullptr)
                     ray_->onSteal(slot, main, helper, stolen.main,
                                   hs.main_tid != stolen.main, now);
@@ -577,7 +629,6 @@ void
 RtUnit::processNode(int slot, WarpEntry &w, int tid, NodeRef ref,
                     int main, std::uint64_t now)
 {
-    ThreadState &t = w.th[std::size_t(tid)];
     const Ray &ray = w.th[std::size_t(main)].ray;
 
     if (ref.isLeaf()) {
@@ -597,6 +648,7 @@ RtUnit::processNode(int slot, WarpEntry &w, int tid, NodeRef ref,
                 // Paper Section 5.3: helpers update the *main*
                 // thread's min_thit register.
                 w.min_thit[std::size_t(main)] = thit;
+                limitDropped(w, main);
                 geom::HitRecord &rec = w.hit[std::size_t(main)];
                 rec.thit = thit;
                 rec.prim_id = prim;
@@ -629,7 +681,7 @@ RtUnit::processNode(int slot, WarpEntry &w, int tid, NodeRef ref,
         const float thit =
             c.box.intersect(ray, geom::cullLimit(searchLimit(w, main)));
         if (thit != kNoHit) {
-            pushWork(t, {c.ref, thit, std::int8_t(main)});
+            pushWork(w, tid, {c.ref, thit, std::int8_t(main)});
             if (ray_ != nullptr)
                 ray_->onNodePush(slot, tid, main, c.ref.raw(), now);
             if (cfg_.child_prefetch) {
@@ -666,13 +718,12 @@ RtUnit::processOneResponse(std::uint64_t now)
     }
 #endif
     const bool ray_on = ray_ != nullptr && ray_->slotSampled(r.slot);
-    for (int t = 0; t < kWarpSize; ++t) {
-        if (!(r.consumers & (1u << t)))
-            continue;
+    for (std::uint32_t m = r.consumers; m != 0; m &= m - 1) {
+        const int t = std::countr_zero(m);
         ThreadState &th = w.th[std::size_t(t)];
         assert(th.pending_main == r.mains[std::size_t(t)]);
         if (th.pending && th.pending_ref == r.ref)
-            th.pending = false;
+            setPending(w, t, false);
         if (ray_on)
             ray_->onFetchConsumed(r.slot, t, r.mains[std::size_t(t)],
                                   r.ref.raw(), r.level, now);
@@ -699,11 +750,8 @@ void
 RtUnit::maybeRetire(int slot, std::uint64_t now)
 {
     WarpEntry &w = warps_[std::size_t(slot)];
-    if (!w.valid || w.outstanding > 0)
+    if (!w.valid || w.outstanding > 0 || (w.work | w.pend) != 0)
         return;
-    for (int t = 0; t < kWarpSize; ++t)
-        if (threadBusy(w.th[std::size_t(t)]))
-            return;
 
     TraceResult result;
     result.hits = w.hit;
@@ -743,7 +791,7 @@ RtUnit::maybeRetire(int slot, std::uint64_t now)
         ray_->onRetire(slot, now);
 
     RetireFn cb = std::move(w.on_retire);
-    w = WarpEntry{};
+    resetEntry(w);
     // Seeded bug: the slot is recycled but the residency ledger keeps
     // counting it (use-after-free of the warp-buffer entry class).
     if (!COOPRT_MUTATE(LeakWarpSlot))
@@ -761,9 +809,9 @@ RtUnit::recordRayEdges(int slot, const WarpEntry &w, std::uint64_t now)
     // response; the recorder adds submit and retire itself). The
     // timeline recorder registers transitions only, so
     // laneTimeline() replays these into fig11's busy bars.
+    const std::uint32_t busy = w.work | w.pend;
     for (int t = 0; t < kWarpSize; ++t)
-        ray_->onLaneEdge(slot, t, threadBusy(w.th[std::size_t(t)]),
-                         now);
+        ray_->onLaneEdge(slot, t, ((busy >> t) & 1) != 0, now);
 }
 
 void
@@ -845,41 +893,28 @@ RtUnit::profAccount(std::uint64_t now, bool end_of_tick)
             v.progressed = ((prof_progress_ >> slot) & 1) != 0;
             v.stole = ((prof_stolen_ >> slot) & 1) != 0;
         }
+        const std::uint32_t ready = w.work & ~w.pend;
         bool fresh_ready = false;
-        for (int t = 0; t < kWarpSize; ++t) {
-            const ThreadState &th = w.th[std::size_t(t)];
-            if (!th.stack.empty()) {
-                v.any_stack_work = true;
-                if (!th.pending) {
-                    v.has_ready = true;
-                    const StackEntry &top = peekWork(th);
-                    if (top.entry_t <
-                        geom::cullLimit(searchLimit(w, top.main)))
-                        fresh_ready = true;
-                }
-            } else if (!th.pending) {
-                v.has_idle_lane = true;
-            }
+        for (std::uint32_t m = ready; m != 0 && !fresh_ready; m &= m - 1) {
+            const StackEntry &top =
+                peekWork(w.th[std::size_t(std::countr_zero(m))]);
+            fresh_ready =
+                top.entry_t < geom::cullLimit(searchLimit(w, top.main));
         }
+        v.any_stack_work = w.work != 0;
+        v.has_ready = ready != 0;
+        v.has_idle_lane = (~w.work & ~w.pend) != 0;
         v.ready_all_stale = v.has_ready && !fresh_ready;
         if (cfg_.coop && !v.has_ready) {
             // LBU-only progress: a legal helper/main pair in some
             // subwarp (exactly the runLbu selection criteria).
-            const int groups = kWarpSize / cfg_.subwarp_size;
-            for (int g = 0; g < groups && !v.lbu_eligible; ++g) {
-                bool helper = false, main = false;
-                for (int t = g * cfg_.subwarp_size;
-                     t < (g + 1) * cfg_.subwarp_size; ++t) {
-                    const ThreadState &th = w.th[std::size_t(t)];
-                    if (th.stack.empty() &&
-                        (!cfg_.helper_requires_idle || !th.pending))
-                        helper = true;
-                    if (th.stack.size() >= 2 ||
-                        (th.pending && !th.stack.empty()))
-                        main = true;
-                }
-                v.lbu_eligible = helper && main;
-            }
+            const std::uint32_t helpers =
+                ~w.work & (cfg_.helper_requires_idle ? ~w.pend : ~0u);
+            const std::uint32_t mains = w.deep | (w.pend & w.work);
+            for (int lo = 0; lo < kWarpSize && !v.lbu_eligible;
+                 lo += cfg_.subwarp_size)
+                v.lbu_eligible = (helpers & subwarpMask(lo)) != 0 &&
+                                 (mains & subwarpMask(lo)) != 0;
         }
         if (w.outstanding > 0 && best[slot] != kNever)
             v.wait_level = prof::MemLevel(level[slot]);
@@ -889,15 +924,10 @@ RtUnit::profAccount(std::uint64_t now, bool end_of_tick)
         prof_->add(prof::classify(v), phase, weight);
 
         // Exact thread-status cycle totals (the Fig. 4 axes).
-        for (int t = 0; t < kWarpSize; ++t) {
-            const ThreadState &th = w.th[std::size_t(t)];
-            if (threadBusy(th))
-                prof_->threads.busy += weight;
-            else if (th.active)
-                prof_->threads.waiting += weight;
-            else
-                prof_->threads.inactive += weight;
-        }
+        const ThreadStatusCounts c = laneStatus(w);
+        prof_->threads.busy += c.busy * weight;
+        prof_->threads.waiting += c.waiting * weight;
+        prof_->threads.inactive += c.inactive * weight;
     }
     if (end_of_tick)
         prof_accounted_ = now;
@@ -924,22 +954,16 @@ RtUnit::nextEventCycle(std::uint64_t now) const
     for (const WarpEntry &w : warps_) {
         if (!w.valid)
             continue;
-        bool has_helper = false, has_main = false;
-        for (int t = 0; t < kWarpSize; ++t) {
-            const ThreadState &th = w.th[std::size_t(t)];
-            if (!th.pending && !th.stack.empty())
-                return now; // issueable (or stale-droppable) work
-            if (cfg_.coop) {
-                if (th.stack.empty() &&
-                    (!cfg_.helper_requires_idle || !th.pending))
-                    has_helper = true;
-                if (th.stack.size() >= 2 ||
-                    (th.pending && !th.stack.empty()))
-                    has_main = true;
-            }
-        }
-        if (cfg_.coop && has_helper && has_main)
-            return now; // LBU can move a node
+        if ((w.work & ~w.pend) != 0)
+            return now; // issueable (or stale-droppable) work
+        // LBU can move a node: a helper and a main anywhere in the
+        // warp. Whole-warp rather than per-subwarp on purpose: a
+        // finer test would skip no-op ticks, which the profiler and
+        // rtunit.ticks_per_cycle observe.
+        if (cfg_.coop &&
+            (~w.work & (cfg_.helper_requires_idle ? ~w.pend : ~0u)) != 0 &&
+            (w.deep | (w.pend & w.work)) != 0)
+            return now;
     }
 
     if (!responses_.empty()) {
@@ -959,15 +983,10 @@ RtUnit::threadStatus() const
     for (const WarpEntry &w : warps_) {
         if (!w.valid)
             continue;
-        for (int t = 0; t < kWarpSize; ++t) {
-            const ThreadState &th = w.th[std::size_t(t)];
-            if (threadBusy(th))
-                c.busy++;
-            else if (th.active)
-                c.waiting++;
-            else
-                c.inactive++;
-        }
+        const ThreadStatusCounts l = laneStatus(w);
+        c.busy += l.busy;
+        c.waiting += l.waiting;
+        c.inactive += l.inactive;
     }
     return c;
 }
@@ -1043,16 +1062,44 @@ RtUnit::auditInvariants(std::uint64_t now) const
                          std::to_string(fifo[i]) +
                          " responses in flight");
 
-        std::uint32_t pending_mask = 0;
-        for (int t = 0; t < kWarpSize; ++t)
-            if (w.th[std::size_t(t)].pending)
-                pending_mask |= (1u << t);
+        std::uint32_t pending_mask = 0, audit_work = 0,
+                      audit_deep = 0;
+        for (int t = 0; t < kWarpSize; ++t) {
+            const ThreadState &th = w.th[std::size_t(t)];
+            pending_mask |= th.pending ? 1u << t : 0u;
+            audit_work |= th.stack.size() > 0 ? 1u << t : 0u;
+            audit_deep |= th.stack.size() > 1 ? 1u << t : 0u;
+        }
         COOPRT_AUDIT(check_label_, "rtunit.pending_matches_responses",
                      now, pending_mask == consumers[i],
                      "slot " + std::to_string(i) + " pending mask " +
                          std::to_string(pending_mask) +
                          " != consumer union " +
                          std::to_string(consumers[i]));
+
+        // The lane masks mirror the stacks and pending flags they
+        // summarize, and every clean lane's TOS is fresh (the
+        // dirty-lane stale check's exactness premise).
+        std::uint32_t stale_clean = 0;
+        for (std::uint32_t m = w.work & ~w.dirty & audit_work; m != 0;
+             m &= m - 1) {
+            const int t = std::countr_zero(m);
+            const StackEntry &top = peekWork(w.th[std::size_t(t)]);
+            if (top.entry_t >= geom::cullLimit(searchLimit(w, top.main)))
+                stale_clean |= 1u << t;
+        }
+        COOPRT_AUDIT(check_label_, "rtunit.lane_masks_consistent", now,
+                     w.work == audit_work && w.deep == audit_deep &&
+                         w.pend == pending_mask && stale_clean == 0,
+                     "slot " + std::to_string(i) + " work " +
+                         std::to_string(w.work) + "/" +
+                         std::to_string(audit_work) + " deep " +
+                         std::to_string(w.deep) + "/" +
+                         std::to_string(audit_deep) + " pend " +
+                         std::to_string(w.pend) + "/" +
+                         std::to_string(pending_mask) +
+                         " stale clean lanes " +
+                         std::to_string(stale_clean));
 
         for (int t = 0; t < kWarpSize; ++t) {
             const ThreadState &th = w.th[std::size_t(t)];
@@ -1065,7 +1112,8 @@ RtUnit::auditInvariants(std::uint64_t now) const
                              " > bound " +
                              std::to_string(check_stack_bound_));
 
-            for (const StackEntry &e : th.stack) {
+            for (std::size_t k = 0; k < th.stack.size(); ++k) {
+                const StackEntry &e = th.stack[k];
                 const int m = e.main;
                 // Helpers may only hold work of an active ray owned
                 // inside their own subwarp (their own tid when the

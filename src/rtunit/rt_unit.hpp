@@ -29,7 +29,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <iterator>
 #include <limits>
@@ -45,6 +44,7 @@
 #include "geom/ray.hpp"
 #include "memscope/memscope.hpp"
 #include "prof/prof.hpp"
+#include "rtunit/ring_deque.hpp"
 #include "rtunit/trace_config.hpp"
 #include "trace/chrome_trace.hpp"
 #include "trace/registry.hpp"
@@ -342,13 +342,28 @@ class RtUnit
         geom::Ray ray;          ///< this thread's own ray
         bool active = false;    ///< thread had a ray at submit
         int main_tid = 0;       ///< current ray target (status/debug)
-        std::deque<StackEntry> stack;
+        RingDeque<StackEntry> stack;
         bool pending = false;   ///< node fetch in flight
         bvh::NodeRef pending_ref;
         std::int8_t pending_main = 0;
     };
 
-    /** One warp-buffer entry. */
+    /**
+     * One warp-buffer entry. Besides the per-thread state it keeps
+     * lane masks (bit t = thread t) that the per-cycle choices test
+     * with countr_zero instead of scanning 32 threads; every stack
+     * or pending mutation updates them (pushWork, popWork, popSteal,
+     * setPending):
+     *
+     *  - `work`: non-empty stack; `deep`: at least two entries;
+     *    `pend`: node fetch in flight.
+     *  - `dirty`: the TOS may be stale. Set when a lane's TOS
+     *    changes or when the search limit of a ray owner in its
+     *    subwarp drops; cleared once tryIssue's stale check has run
+     *    on the lane. A clean lane's TOS passed that check against
+     *    a search limit that has not dropped since, and a limit
+     *    never grows, so the check would drop nothing there.
+     */
     struct WarpEntry
     {
         bool valid = false;
@@ -364,6 +379,10 @@ class RtUnit
         std::uint64_t prof_from = 0;
         /** Consumed any response yet (observer phase tracking). */
         bool prof_consumed = false;
+        std::uint32_t work = 0;
+        std::uint32_t deep = 0;
+        std::uint32_t pend = 0;
+        std::uint32_t dirty = 0;
     };
 
     /** An element of the response FIFO. */
@@ -386,15 +405,28 @@ class RtUnit
     /** Min-heap pop of responses_.front(). */
     Response popResponse();
 
-    bool threadBusy(const ThreadState &t) const
-    { return t.pending || !t.stack.empty(); }
+    /** Busy (non-empty stack or fetch in flight), waiting (active,
+     *  not busy) and inactive lanes of @p w. */
+    static ThreadStatusCounts laneStatus(const WarpEntry &w);
 
     /** Pop-side of the node-tracking discipline (DFS back/BFS front). */
-    StackEntry popWork(ThreadState &t) const;
+    StackEntry popWork(WarpEntry &w, int tid) const;
     const StackEntry &peekWork(const ThreadState &t) const;
     /** Steal-side pop (honours steal_from_bottom). */
-    StackEntry popSteal(ThreadState &t) const;
-    void pushWork(ThreadState &t, const StackEntry &e);
+    StackEntry popSteal(WarpEntry &w, int tid) const;
+    void pushWork(WarpEntry &w, int tid, const StackEntry &e);
+    /** Re-derive lane @p tid's work/deep bits and mark it dirty. */
+    static void stackChanged(WarpEntry &w, int tid);
+    /** Set or clear lane @p tid's pending fetch (flag and mask). */
+    void setPending(WarpEntry &w, int tid, bool pending) const;
+    /** Mark every lane that may hold @p main's entries dirty (its
+     *  search limit dropped). */
+    void limitDropped(WarpEntry &w, int main) const;
+    /** Lanes of the subwarp containing @p tid. */
+    std::uint32_t subwarpMask(int tid) const;
+    /** Return a retired (or never used) entry to its empty state,
+     *  keeping the stacks' buffers. */
+    static void resetEntry(WarpEntry &w);
 
     /** Drop stale TOS entries (entry_t >= geom::cullLimit of the
      *  owner's search limit). */

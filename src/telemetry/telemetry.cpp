@@ -3,6 +3,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -460,6 +461,13 @@ void
 CampaignMonitor::writePrometheus(const std::string &path,
                                  const CampaignCounters &c) const
 {
+    // Never replace something that is not a regular file (a device,
+    // FIFO or directory the caller named by mistake).
+    std::error_code ec;
+    const auto st = std::filesystem::status(path, ec);
+    if (std::filesystem::exists(st) &&
+        !std::filesystem::is_regular_file(st))
+        return;
     const std::string tmp = path + ".tmp";
     {
         std::ofstream os(tmp);

@@ -340,7 +340,8 @@ class CampaignMonitor
 
     /**
      * Write a Prometheus text-exposition snapshot atomically (tmp
-     * file + rename, so scrapers never see a torn file).
+     * file + rename, so scrapers never see a torn file). A @p path
+     * that exists and is not a regular file is left alone.
      */
     void writePrometheus(const std::string &path,
                          const CampaignCounters &counters) const;

@@ -212,12 +212,22 @@ TEST_F(MutationTest, RayProvenanceDrop)
         });
 }
 
+TEST_F(MutationTest, StaleLaneMask)
+{
+    // A pending flag cleared without its mask bit leaves the warp's
+    // lane masks out of step with the per-thread state they index;
+    // the end-of-tick audit recomputes them from that state.
+    expectCaught(check::Mutation::StaleLaneMask,
+                 "rtunit.lane_masks_consistent",
+                 [] { runBusyWarp(TraceConfig{}); });
+}
+
 /** The harness covers every mutation in the catalogue. */
 TEST_F(MutationTest, CatalogueFullyExercised)
 {
     // One TEST_F above per entry; this guards against a new Mutation
     // being added without a matching detection test.
-    EXPECT_EQ(check::allMutations().size(), 12u)
+    EXPECT_EQ(check::allMutations().size(), 13u)
         << "new mutation added: write its detection test and update "
            "this count";
 }

@@ -169,11 +169,9 @@ TEST(Cache, Table1Configurations)
 
 TEST(Cache, OutstandingLinesSortedSnapshot)
 {
-    // Issue misses in scrambled line order: the MSHR table is an
-    // unordered_map, but the snapshot the rest of the simulator is
-    // allowed to see must come back sorted by line address — the
-    // deterministic-emission contract cooprt-lint's
-    // nondeterministic-iteration rule enforces statically.
+    // Issue misses in scrambled line order: the MSHR table is
+    // hash-ordered, but the snapshot the rest of the simulator is
+    // allowed to see must come back sorted by line address.
     Cache c(smallCfg(0));
     Backing mem;
     const std::uint64_t lines[] = {9, 2, 17, 5, 33, 1};

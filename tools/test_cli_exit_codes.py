@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -46,7 +47,8 @@ def expect(argv: list[str], code: int, on_stderr: str = "") -> None:
             f"does not mention {on_stderr!r}")
 
 
-def short_writes(simulate: str, campaign: str) -> None:
+def short_writes(simulate: str, campaign: str, bench: str,
+                 diff_cli: str) -> None:
     tiny = ["--resolution", "16"]
     with tempfile.TemporaryDirectory() as tmp:
         os.symlink("/dev/full", os.path.join(tmp, "wknd.report.json"))
@@ -77,6 +79,26 @@ def short_writes(simulate: str, campaign: str) -> None:
         expect([campaign, "--scenes", "wknd", "--configs", "base",
                 *tiny, "--diff-baseline", base, "--diff-out",
                 "/dev/full"], 1, "/dev/full")
+        expect([campaign, "--scenes", "wknd", "--configs", "base",
+                *tiny, "--telemetry-log", "/dev/full"], 1, "/dev/full")
+        report = os.path.join(base, "wknd_base.report.json")
+        expect([diff_cli, "--json", "/dev/full", report, report], 1,
+               "/dev/full")
+        # Text reports and summary tables on a full stdout.
+        for argv in ([diff_cli, report, report],
+                     [campaign, "--scenes", "wknd", "--configs", "base",
+                      *tiny]):
+            with open("/dev/full", "w") as full:
+                p = subprocess.run(argv, stdout=full,
+                                   stderr=subprocess.PIPE, text=True,
+                                   timeout=120)
+            if p.returncode != 1 or "stdout" not in p.stderr:
+                FAILURES.append(
+                    f"{' '.join(argv)} > /dev/full: exit "
+                    f"{p.returncode}, want 1 naming stdout\n"
+                    f"    stderr: {p.stderr.strip()[:200]}")
+        expect([bench, "--scenes", "wknd", "--json-out", "/dev/full"],
+               1, "/dev/full")
 
 
 def main(argv: list[str]) -> int:
@@ -229,15 +251,30 @@ def main(argv: list[str]) -> int:
                 os.path.join(tmp, "d.ndjson")], 2,
                "not a directory")
 
+        # --prom-out publishes by rename, so a path that exists and
+        # is not a regular file is refused before anything runs and
+        # left as it was.
+        fifo = os.path.join(tmp, "prom.fifo")
+        os.mkfifo(fifo)
+        for target in (fifo, empty):
+            expect([campaign, *tiny, "--prom-out", target], 2,
+                   "--prom-out")
+        if not stat.S_ISFIFO(os.stat(fifo).st_mode) or \
+                not os.path.isdir(empty):
+            FAILURES.append(f"{campaign} --prom-out replaced a "
+                            f"non-regular file")
+
     # A sink that cannot be written in full is a failure naming the
     # file, never a silent success: a report file that is a symlink
-    # to /dev/full (ENOSPC on every write), and stdout or --json-out /
-    # --diff-out pointing there.
+    # to /dev/full (ENOSPC on every write), and stdout, --json-out,
+    # --diff-out, --telemetry-log or diff_cli --json pointing there.
     if os.path.exists("/dev/full"):
-        short_writes(simulate, campaign)
+        short_writes(simulate, campaign, bench, diff_cli)
 
-    # warp_timeline: a skip SM 0 never reaches is a failure naming
+    # warp_timeline: an unknown scene is a usage error; a skip SM 0
+    # never reaches is a failure naming
     # the skip, not two empty timelines; a reachable one draws both.
+    expect([warp_timeline, "no-such-scene"], 2, "no-such-scene")
     expect([warp_timeline, "wknd", "80", "100000"], 1, "100000")
     p = run([warp_timeline, "wknd", "80", "7"])
     spans = [l for l in p.stdout.splitlines() if "span" in l]

@@ -119,8 +119,9 @@ printSummary(const core::RunOutcome &out, const core::RunConfig &cfg,
     if (obs.telemetry() != nullptr) {
         const auto &t = obs.telemetry()->summary();
         std::printf("  telemetry:        sim %.3f s, %.3g cycles/s, "
-                    "%.3g rays/s, rss %llu/%llu MB\n",
-                    t.sim_seconds, t.cycles_per_sec, t.rays_per_sec,
+                    "%.3g warps/s, rss %llu/%llu MB\n",
+                    t.sim_seconds, t.cycles_per_sec,
+                    t.retired_warps_per_sec,
                     static_cast<unsigned long long>(
                         t.rss.current_kb / 1024),
                     static_cast<unsigned long long>(
@@ -240,8 +241,8 @@ main(int argc, char **argv)
                     const telemetry::Rss rss = telemetry::readRss();
                     return scene_label + " cycle " +
                            std::to_string(telem->liveCycle()) +
-                           ", rays retired " +
-                           std::to_string(telem->liveRays()) +
+                           ", warps retired " +
+                           std::to_string(telem->liveRetiredWarps()) +
                            ", rss " +
                            std::to_string(rss.current_kb / 1024) +
                            " MB";

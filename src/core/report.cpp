@@ -3,6 +3,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "rtunit/rt_unit.hpp"
 #include "telemetry/telemetry.hpp"
 #include "trace/json.hpp"
 
@@ -28,17 +29,9 @@ writeJson(std::ostream &os, const RunOutcome &o)
     w.close();
 
     w.open("rt_unit");
-    w.field("node_fetches", o.gpu.rt.node_fetches);
-    w.field("leaf_fetches", o.gpu.rt.leaf_fetches);
-    w.field("box_tests", o.gpu.rt.box_tests);
-    w.field("tri_tests", o.gpu.rt.tri_tests);
-    w.field("steals", o.gpu.rt.steals);
-    w.field("stale_pops", o.gpu.rt.stale_pops);
-    w.field("stack_overflows", o.gpu.rt.stack_overflows);
-    w.field("retired_warps", o.gpu.rt.retired_warps);
-    w.field("max_trace_latency", o.gpu.rt.max_trace_latency);
-    w.field("prefetches", o.gpu.rt.prefetches);
-    w.field("predictor_hits", o.gpu.rt.predictor_hits);
+    for (const rtunit::RtUnitStatField &f : rtunit::kRtUnitStatFields)
+        if (f.report == rtunit::StatReport::Reported)
+            w.field(f.name, o.gpu.rt.*f.member);
     w.close();
 
     w.open("memory");

@@ -278,7 +278,7 @@ RunDiff diffRuns(const RunRecord &base, const RunRecord &other);
 
 /**
  * The diff as one schema-stamped JSON document (validated by
- * tools/validate_diff.py). Deterministic except for the optional
+ * tools/validate_sinks.py). Deterministic except for the optional
  * trailing "host" object. One line, newline-terminated — suitable
  * both as a file and as a JSON-lines sink entry.
  */

@@ -105,35 +105,37 @@ struct TraceResult
 };
 
 /**
- * The RtUnitStats counters, one row each: X(field, combine, probe).
- * This one list declares the struct, drives Gpu::run's aggregation
- * (`Sum` over SMs, or `Max`), its COOPRT_CHECK re-sum, and the
- * `rtunit.sm<i>.<field>` probes RtUnit::attachTrace registers
+ * The RtUnitStats counters, one row each: X(field, combine, probe,
+ * report). This one list declares the struct, drives Gpu::run's
+ * aggregation (`Sum` over SMs, or `Max`), its COOPRT_CHECK re-sum,
+ * the `rtunit.sm<i>.<field>` probes RtUnit::attachTrace registers
  * (`Unprobed`: the trace_latency histogram covers the two latency
- * fields instead).
+ * fields instead) and the report's "rt_unit" block (`Reported`
+ * fields, in table order).
  */
-#define COOPRT_RTUNIT_STATS(X)                                        \
-    X(node_fetches, Sum, Probed)     /* internal node records read */ \
-    X(leaf_fetches, Sum, Probed)     /* leaf records read */          \
-    X(box_tests, Sum, Probed)                                         \
-    X(tri_tests, Sum, Probed)                                         \
-    X(steals, Sum, Probed)           /* LBU node moves */             \
-    X(coalesced_threads, Sum, Probed) /* threads sharing a fetch */   \
-    X(stale_pops, Sum, Probed)       /* pop-time min_thit discards */ \
-    X(stack_overflows, Sum, Probed)                                   \
-    X(retired_warps, Sum, Probed)                                     \
-    X(retired_trace_latency, Sum, Unprobed) /* sum of latencies */    \
-    X(max_trace_latency, Max, Unprobed)                               \
-    X(issue_cycles, Sum, Probed)     /* cycles that issued a fetch */ \
-    X(prefetches, Sum, Probed)       /* child records prefetched */   \
-    X(predictor_hits, Sum, Probed)   /* predicted prim confirmed */   \
-    X(predictor_misses, Sum, Probed)                                  \
-    X(hit_stores, Sum, Probed)       /* hit records written back */
+#define COOPRT_RTUNIT_STATS(X)                                                \
+    X(node_fetches, Sum, Probed, Reported)   /* internal node records read */ \
+    X(leaf_fetches, Sum, Probed, Reported)   /* leaf records read */          \
+    X(box_tests, Sum, Probed, Reported)                                       \
+    X(tri_tests, Sum, Probed, Reported)                                       \
+    X(steals, Sum, Probed, Reported)         /* LBU node moves */             \
+    X(coalesced_threads, Sum, Probed, Unreported) /* fetch-sharing threads */ \
+    X(stale_pops, Sum, Probed, Reported)     /* pop-time min_thit discards */ \
+    X(stack_overflows, Sum, Probed, Reported)                                 \
+    X(retired_warps, Sum, Probed, Reported)                                   \
+    X(retired_trace_latency, Sum, Unprobed, Unreported) /* latency sum */     \
+    X(max_trace_latency, Max, Unprobed, Reported)                             \
+    X(issue_cycles, Sum, Probed, Unreported) /* cycles that issued a fetch */ \
+    X(prefetches, Sum, Probed, Reported)     /* child records prefetched */   \
+    X(predictor_hits, Sum, Probed, Reported) /* predicted prim confirmed */   \
+    X(predictor_misses, Sum, Probed, Unreported)                              \
+    X(hit_stores, Sum, Probed, Unreported)   /* hit records written back */
 
 /** Aggregate counters for one RT unit (fields: COOPRT_RTUNIT_STATS). */
 struct RtUnitStats
 {
-#define COOPRT_STATS_FIELD(field, combine, probe) std::uint64_t field = 0;
+#define COOPRT_STATS_FIELD(field, combine, probe, report)                \
+    std::uint64_t field = 0;
     COOPRT_RTUNIT_STATS(COOPRT_STATS_FIELD)
 #undef COOPRT_STATS_FIELD
 
@@ -146,6 +148,10 @@ enum class StatCombine { Sum, Max };
 /** Whether RtUnit::attachTrace registers a field as a probe. */
 enum class StatProbe { Probed, Unprobed };
 
+/** Whether the run report's "rt_unit" block (core/report.cpp) writes a
+ *  field. */
+enum class StatReport { Reported, Unreported };
+
 /** One row of COOPRT_RTUNIT_STATS as data. */
 struct RtUnitStatField
 {
@@ -153,11 +159,13 @@ struct RtUnitStatField
     std::uint64_t RtUnitStats::*member;
     StatCombine combine;
     StatProbe probe;
+    StatReport report;
 };
 
 inline constexpr RtUnitStatField kRtUnitStatFields[] = {
-#define COOPRT_STATS_ROW(field, combine, probe)                           \
-    {#field, &RtUnitStats::field, StatCombine::combine, StatProbe::probe},
+#define COOPRT_STATS_ROW(field, combine, probe, report)                  \
+    {#field, &RtUnitStats::field, StatCombine::combine, StatProbe::probe, \
+     StatReport::report},
     COOPRT_RTUNIT_STATS(COOPRT_STATS_ROW)
 #undef COOPRT_STATS_ROW
 };

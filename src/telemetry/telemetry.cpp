@@ -107,7 +107,7 @@ Recorder::reset()
 {
     summary_ = Summary{};
     live_cycle_.store(0, std::memory_order_relaxed);
-    live_rays_.store(0, std::memory_order_relaxed);
+    live_retired_warps_.store(0, std::memory_order_relaxed);
 }
 
 void
@@ -119,20 +119,20 @@ Recorder::recordPhase(Phase phase, double seconds)
 }
 
 void
-Recorder::finishRun(std::uint64_t cycles, std::uint64_t rays_retired)
+Recorder::finishRun(std::uint64_t cycles, std::uint64_t retired_warps)
 {
     summary_.enabled = true;
     summary_.cycles = cycles;
-    summary_.rays_retired = rays_retired;
+    summary_.retired_warps = retired_warps;
     summary_.sim_seconds = summary_.phase(Phase::SimLoop).seconds;
     if (summary_.sim_seconds > 0.0) {
         summary_.cycles_per_sec =
             double(cycles) / summary_.sim_seconds;
-        summary_.rays_per_sec =
-            double(rays_retired) / summary_.sim_seconds;
+        summary_.retired_warps_per_sec =
+            double(retired_warps) / summary_.sim_seconds;
     }
     summary_.rss = readRss();
-    publishProgress(cycles, rays_retired);
+    publishProgress(cycles, retired_warps);
 }
 
 void
@@ -146,8 +146,8 @@ Recorder::registerMetrics(trace::Registry &registry)
         "telemetry.sim_cycle", [this] { return double(liveCycle()); },
         this);
     registry.probe(
-        "telemetry.rays_retired",
-        [this] { return double(liveRays()); }, this);
+        "telemetry.retired_warps",
+        [this] { return double(liveRetiredWarps()); }, this);
 }
 
 void
@@ -168,7 +168,7 @@ Recorder::writeJson(std::ostream &os, const std::string &scene) const
     // identity tooling can compare them across worker counts.
     w.open("sim");
     w.field("cycles", s.cycles);
-    w.field("rays_retired", s.rays_retired);
+    w.field("retired_warps", s.retired_warps);
     w.close();
     w.open("host");
     w.open("phases");
@@ -182,7 +182,7 @@ Recorder::writeJson(std::ostream &os, const std::string &scene) const
     w.close();
     w.field("sim_seconds", s.sim_seconds);
     w.field("cycles_per_sec", s.cycles_per_sec);
-    w.field("rays_per_sec", s.rays_per_sec);
+    w.field("retired_warps_per_sec", s.retired_warps_per_sec);
     w.field("rss_current_kb", s.rss.current_kb);
     w.field("rss_peak_kb", s.rss.peak_kb);
     w.close();

@@ -8,10 +8,10 @@
  * `src/memscope` observes the *simulated* GPU; this subsystem
  * observes the simulator. Per run it records phase-scoped monotonic
  * wall-clock spans (scene load, BVH build, warmup, sim loop, report
- * emission), derived throughput gauges (simulated cycles/sec, rays
- * retired/sec) and peak/current RSS; per campaign it adds a live
- * stderr heartbeat, a JSON-lines event log and a Prometheus-style
- * text exposition snapshot.
+ * emission), derived throughput gauges (simulated cycles/sec,
+ * retired trace_ray warps/sec) and peak/current RSS; per campaign it
+ * adds a live stderr heartbeat, a JSON-lines event log and a
+ * Prometheus-style text exposition snapshot.
  *
  * Determinism contract (the same one every observer layer honors):
  * attaching telemetry never changes simulated results — the recorder
@@ -21,7 +21,7 @@
  * cycles, tags, counts) and a `"host"` object holding the timing /
  * memory / scheduling fields; byte-identity tests (`--jobs 1` vs
  * `--jobs N`) strip the `"host"` objects and compare the rest (see
- * DESIGN.md §16 and tools/validate_telemetry.py).
+ * DESIGN.md §16 and tools/validate_sinks.py).
  *
  * Usage (what `simulate_cli --telemetry` does):
  *
@@ -127,14 +127,14 @@ struct Summary
 {
     bool enabled = false;
     /* Deterministic (simulated) totals. */
-    std::uint64_t cycles = 0;       ///< simulated cycles
-    std::uint64_t rays_retired = 0; ///< retired trace_rays warps
+    std::uint64_t cycles = 0;        ///< simulated cycles
+    std::uint64_t retired_warps = 0; ///< retired trace_ray warps
     /* Host-side (nondeterministic) measurements. */
     std::array<PhaseSpan, kNumPhases> phases{};
-    double sim_seconds = 0.0;     ///< SimLoop span of this run
-    double cycles_per_sec = 0.0;  ///< cycles / sim_seconds
-    double rays_per_sec = 0.0;    ///< rays_retired / sim_seconds
-    Rss rss;                      ///< sampled at finishRun()
+    double sim_seconds = 0.0;           ///< SimLoop span of this run
+    double cycles_per_sec = 0.0;        ///< cycles / sim_seconds
+    double retired_warps_per_sec = 0.0; ///< retired_warps / sim_seconds
+    Rss rss;                            ///< sampled at finishRun()
 
     const PhaseSpan &phase(Phase p) const
     { return phases[std::size_t(p)]; }
@@ -195,21 +195,21 @@ class Recorder
      * perturbing the run).
      */
     void
-    publishProgress(std::uint64_t cycle, std::uint64_t rays_retired)
+    publishProgress(std::uint64_t cycle, std::uint64_t retired_warps)
     {
         live_cycle_.store(cycle, std::memory_order_relaxed);
-        live_rays_.store(rays_retired, std::memory_order_relaxed);
+        live_retired_warps_.store(retired_warps, std::memory_order_relaxed);
     }
     std::uint64_t liveCycle() const
     { return live_cycle_.load(std::memory_order_relaxed); }
-    std::uint64_t liveRays() const
-    { return live_rays_.load(std::memory_order_relaxed); }
+    std::uint64_t liveRetiredWarps() const
+    { return live_retired_warps_.load(std::memory_order_relaxed); }
 
     /**
      * Seal the run: store the simulated totals, derive the
      * throughput gauges from the SimLoop span and sample RSS.
      */
-    void finishRun(std::uint64_t cycles, std::uint64_t rays_retired);
+    void finishRun(std::uint64_t cycles, std::uint64_t retired_warps);
 
     const Summary &summary() const { return summary_; }
 
@@ -237,7 +237,7 @@ class Recorder
   private:
     Summary summary_;
     std::atomic<std::uint64_t> live_cycle_{0};
-    std::atomic<std::uint64_t> live_rays_{0};
+    std::atomic<std::uint64_t> live_retired_warps_{0};
     trace::RunKeyFields run_key_;
 };
 

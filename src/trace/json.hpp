@@ -135,7 +135,7 @@ inline constexpr int kSchemaVersion = 2;
 /**
  * The canonical identity of one simulation run, stamped into every
  * JSON report/sink and the metrics CSV so cross-run tooling
- * (`cooprt::diff`, tools/validate_diff.py) can align or refuse to
+ * (`cooprt::diff`, tools/validate_sinks.py) can align or refuse to
  * align two documents. Two runs are *comparable* when scene, shader
  * and resolution agree; their fingerprints then say whether the
  * configurations were identical or are the very thing being compared

@@ -214,7 +214,7 @@ TEST(PinnedCycles, WkndPathTracingBaselineWithTelemetry)
     EXPECT_EQ(out.gpu.stalls.rt, 310412u);
     EXPECT_TRUE(out.telemetry.enabled);
     EXPECT_EQ(out.telemetry.cycles, out.gpu.cycles);
-    EXPECT_EQ(out.telemetry.rays_retired, out.gpu.rt.retired_warps);
+    EXPECT_EQ(out.telemetry.retired_warps, out.gpu.rt.retired_warps);
 }
 
 TEST(PinnedCycles, WkndPathTracingCoopWithTelemetry)
@@ -239,7 +239,7 @@ TEST(PinnedCycles, BunnyAmbientOcclusionCoopWithTelemetry)
     EXPECT_EQ(out.gpu.cycles, 17241u);
     EXPECT_EQ(out.gpu.rt.steals, 5114u);
     EXPECT_EQ(out.gpu.rt.retired_warps, 78u);
-    EXPECT_EQ(out.telemetry.rays_retired, 78u);
+    EXPECT_EQ(out.telemetry.retired_warps, 78u);
 }
 
 TEST(PinnedCycles, ShipShadowBaselineWithTelemetry)

@@ -1,12 +1,14 @@
 /**
  * @file
  * The COOPRT_RTUNIT_STATS table is the one authority over the
- * RtUnitStats fields: it declares them, folds them over SMs and names
- * their registry probes. These tests pin the last two against it.
+ * RtUnitStats fields: it declares them, folds them over SMs, names
+ * their registry probes and picks the report's "rt_unit" keys. These
+ * tests pin the last three against it.
  */
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -64,6 +66,22 @@ TEST(RtUnitStatsTable, AccumulateSumsEveryFieldButTheMaxLatency)
         EXPECT_EQ(f.combine == rtunit::StatCombine::Max, max) << f.name;
         EXPECT_EQ(total.*f.member, max ? 10 * one : 11 * one) << f.name;
     }
+}
+
+TEST(RtUnitStatsTable, ReportWritesTheReportedFieldsInTableOrder)
+{
+    // The report's "rt_unit" keys are a stable sink format: these 11,
+    // in this order.
+    std::vector<std::string> reported;
+    for (const RtUnitStatField &f : kRtUnitStatFields)
+        if (f.report == rtunit::StatReport::Reported)
+            reported.push_back(f.name);
+    EXPECT_EQ(reported,
+              (std::vector<std::string>{
+                  "node_fetches", "leaf_fetches", "box_tests", "tri_tests",
+                  "steals", "stale_pops", "stack_overflows",
+                  "retired_warps", "max_trace_latency", "prefetches",
+                  "predictor_hits"}));
 }
 
 } // namespace

@@ -90,10 +90,10 @@ TEST(Recorder, FinishRunDerivesThroughput)
     const Summary &s = rec.summary();
     EXPECT_TRUE(s.enabled);
     EXPECT_EQ(s.cycles, 10000u);
-    EXPECT_EQ(s.rays_retired, 500u);
+    EXPECT_EQ(s.retired_warps, 500u);
     EXPECT_DOUBLE_EQ(s.sim_seconds, 2.0);
     EXPECT_DOUBLE_EQ(s.cycles_per_sec, 5000.0);
-    EXPECT_DOUBLE_EQ(s.rays_per_sec, 250.0);
+    EXPECT_DOUBLE_EQ(s.retired_warps_per_sec, 250.0);
 }
 
 TEST(Recorder, FinishRunWithoutSimLoopHasZeroGauges)
@@ -102,7 +102,7 @@ TEST(Recorder, FinishRunWithoutSimLoopHasZeroGauges)
     rec.reset();
     rec.finishRun(10000, 500);
     EXPECT_DOUBLE_EQ(rec.summary().cycles_per_sec, 0.0);
-    EXPECT_DOUBLE_EQ(rec.summary().rays_per_sec, 0.0);
+    EXPECT_DOUBLE_EQ(rec.summary().retired_warps_per_sec, 0.0);
 }
 
 TEST(Recorder, ResetClearsEverything)
@@ -117,7 +117,7 @@ TEST(Recorder, ResetClearsEverything)
     EXPECT_EQ(rec.summary().cycles, 0u);
     EXPECT_EQ(rec.summary().phase(Phase::SimLoop).count, 0u);
     EXPECT_EQ(rec.liveCycle(), 0u);
-    EXPECT_EQ(rec.liveRays(), 0u);
+    EXPECT_EQ(rec.liveRetiredWarps(), 0u);
 }
 
 TEST(Recorder, WriteJsonSplitsDeterministicFromHost)
@@ -133,7 +133,7 @@ TEST(Recorder, WriteJsonSplitsDeterministicFromHost)
     EXPECT_NE(json.find("\"telemetry_version\":1"),
               std::string::npos);
     EXPECT_NE(json.find("\"cycles\":12345"), std::string::npos);
-    EXPECT_NE(json.find("\"rays_retired\":67"), std::string::npos);
+    EXPECT_NE(json.find("\"retired_warps\":67"), std::string::npos);
     // Every nondeterministic field sits inside the "host" object:
     // the deterministic prefix before it must not mention seconds,
     // throughput or RSS.

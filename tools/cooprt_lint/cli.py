@@ -74,10 +74,7 @@ def _analyze(repo: Path, files: list[Path],
                 f, rel, repo, compile_commands))
         else:
             facts.append(frontend_text.analyze_file(f, rel))
-    union = set()
-    for ff in facts:
-        union |= ff.unordered_vars
-    frontend_text.classify_loops(facts, union)
+    frontend_text.classify_loops(facts)
     return facts
 
 

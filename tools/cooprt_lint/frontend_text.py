@@ -141,19 +141,26 @@ def analyze_file(path: Path, rel: str) -> FileFacts:
     return facts
 
 
-def classify_loops(files: list[FileFacts],
-                   project_unordered: set[str]) -> None:
-    """Second pass once the project union of unordered names is
-    known: a range-for is over-unordered when its sequence expression
-    names an unordered container (declared in this file or, for
-    members, in the matching header)."""
+def _unit(rel: str) -> str:
+    """A header and its source share a unit: the path minus suffix."""
+    return rel.rsplit(".", 1)[0]
+
+
+def classify_loops(files: list[FileFacts]) -> None:
+    """Second pass once every file's unordered names are known: a
+    range-for is over-unordered when its sequence expression names an
+    unordered container declared in this file or, for members, in the
+    matching header or source (``foo.cpp`` <-> ``foo.hpp``). Names
+    from any other file never taint a loop."""
     from model import last_identifier
+    by_unit: dict[str, set[str]] = {}
     for f in files:
+        by_unit.setdefault(_unit(f.rel), set()).update(f.unordered_vars)
+    for f in files:
+        names = by_unit[_unit(f.rel)]
         for loop in f.loops:
             if not loop.iterated:
                 continue
-            name = last_identifier(loop.iterated)
             loop.over_unordered = (
                 "unordered_" in loop.iterated
-                or name in f.unordered_vars
-                or name in project_unordered)
+                or last_identifier(loop.iterated) in names)

@@ -64,12 +64,10 @@ class Project:
     def __init__(self, root: Path, files: list[FileFacts]):
         self.root = root
         self.files = files
-        #: Union of container/float names across files: member types
-        #: are declared in headers but iterated in the matching .cpp.
-        self.unordered_names: set[str] = set()
+        #: Union of float names across files: member types are
+        #: declared in headers but accumulated in the matching .cpp.
         self.float_names: set[str] = set()
         for f in files:
-            self.unordered_names |= f.unordered_vars
             self.float_names |= f.float_vars
 
     def design_md(self) -> str:

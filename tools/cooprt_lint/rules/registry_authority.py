@@ -7,15 +7,17 @@ literal name shadow each other silently (last wins), and a metric
 that exists in code but not in DESIGN.md cannot be reviewed against
 the paper's figure list.
 
-Only *literal dotted* names (``"exec.jobs_queued"``) are checked;
-computed names (``prefix + ".hits"``) follow their prefix family's
-wildcard entry (``rtunit.*``) and are validated at runtime by the
-registry's own collision audit.
+Only *literal dotted* names (``"exec.jobs_queued"``) are checked
+for duplicates and documentation; computed names (``prefix +
+".hits"``) follow their prefix family's wildcard entry (``rtunit.*``)
+and are validated at runtime by the registry's own collision audit.
+A wildcard documents its family only in a DESIGN.md table row.
 
 Some metric families additionally have a single *owning file* (the
 DESIGN.md authority tables): a ``prof.*`` probe registered outside
-``src/prof/prof.cpp`` would fork the taxonomy, so any literal
-registration of an owned family outside its home file is a finding.
+``src/prof/prof.cpp`` would fork the taxonomy, so any registration
+whose name literal starts with an owned family (``"prof.x"`` or a
+computed ``"prof." + x``) outside its home file is a finding.
 Families whose names are legitimately registered from several files
 (``mem.*``, ``rtunit.*``) are not in the map.
 """
@@ -31,9 +33,14 @@ _LITERAL_REG_RE = re.compile(
 
 _WILDCARD_RE = re.compile(r"`([\w.]+)\.\*`")
 
-#: Metric families with a single registration authority: literal
-#: names under the prefix may only be registered from the owning
-#: file (mirrors the DESIGN.md authority tables; in-repo paths).
+#: Any registration whose name literal starts ``family.``: catches a
+#: computed name (``"memscope." + x``) as well as a literal one.
+_FAMILY_REG_RE = re.compile(
+    r'\b(?:probe|add)\s*\(\s*"((\w+\.)[^"]*)"')
+
+#: Metric families with a single registration authority: names under
+#: the prefix may only be registered from the owning file (mirrors
+#: the DESIGN.md authority tables; in-repo paths).
 _AUTHORITY_FILES = {
     "prof.": "src/prof/prof.cpp",
     "memscope.": "src/memscope/memscope.cpp",
@@ -59,9 +66,25 @@ class RegistryAuthority(Rule):
             for m in _LITERAL_REG_RE.finditer(nc):
                 sites.setdefault(m.group(1), []).append(
                     (facts.rel, facts.src.line_of(m.start())))
+            for m in _FAMILY_REG_RE.finditer(nc):
+                owner = _AUTHORITY_FILES.get(m.group(2))
+                if owner is not None and facts.rel != owner:
+                    add(self.id, facts.rel,
+                        facts.src.line_of(m.start()),
+                        f"metric '{m.group(1)}' registered outside "
+                        f"its authority file",
+                        f"the {m.group(2)}* family is registered "
+                        f"only from {owner} (DESIGN.md authority "
+                        f"table); move the registration there or "
+                        f"compute the name through that module's "
+                        f"API")
 
         design = project.design_md()
-        wildcards = {w + "." for w in _WILDCARD_RE.findall(design)}
+        # Only a table row documents a wildcard family: prose that
+        # names `telemetry.*` does not document every telemetry name.
+        rows = "\n".join(line for line in design.splitlines()
+                         if line.lstrip().startswith("|"))
+        wildcards = {w + "." for w in _WILDCARD_RE.findall(rows)}
 
         for name in sorted(sites):
             where = sites[name]
@@ -73,19 +96,6 @@ class RegistryAuthority(Rule):
                         f"metric '{name}' is already registered at "
                         f"{first}; the registry is single-authority "
                         f"— rename or merge")
-            for prefix, owner in _AUTHORITY_FILES.items():
-                if not name.startswith(prefix):
-                    continue
-                for rel, line in where:
-                    if rel != owner:
-                        add(self.id, rel, line,
-                            f"metric '{name}' registered outside "
-                            f"its authority file",
-                            f"the {prefix}* family is registered "
-                            f"only from {owner} (DESIGN.md "
-                            f"authority table); move the "
-                            f"registration there or compute the "
-                            f"name through that module's API")
             documented = (f"`{name}`" in design
                           or any(name.startswith(w)
                                  for w in wildcards))

@@ -62,9 +62,9 @@ def prof_bucket_problems() -> list[str]:
 
     The Bucket enum (prof.hpp), the kBucketNames table (prof.cpp) and
     the DESIGN.md taxonomy section must agree; every name must be
-    snake_case and unique; the names must be published as ``prof.*``
-    registry probes from prof.cpp and nowhere else (one registration
-    authority, like the stats counters above).
+    snake_case and unique; prof.cpp must still publish them as
+    ``prof.*`` registry probes (cooprt_lint's registry-authority rule
+    keeps ``prof.*`` registrations out of every other file).
     """
     problems: list[str] = []
     hpp = (REPO / "src/prof/prof.hpp").read_text()
@@ -110,49 +110,26 @@ def prof_bucket_problems() -> list[str]:
         problems.append(
             "src/prof/prof.cpp no longer registers prof.sm<i>.* and "
             "prof.gpu.* probes")
-    for src in (REPO / "src").rglob("*.cpp"):
-        if src.name == "prof.cpp":
-            continue
-        if re.search(r'probe\(\s*"prof\.', src.read_text()):
-            problems.append(
-                f"{src.relative_to(REPO)} registers prof.* probes; "
-                f"prof.cpp is the single registration authority")
     return problems
 
 
-def memscope_problems() -> list[str]:
-    """Cross-check the memscope probe surface.
-
-    src/memscope/memscope.cpp is the single registration authority
-    for ``memscope.*`` probes; every literal probe name it registers
-    must be documented (in backticks) in the DESIGN.md memscope
-    section, and the conservation-critical families (per-SM, GPU,
-    interconnect, DRAM, reuse) must all still be present.
-    """
+def required_probe_problems() -> list[str]:
+    """The probes each observer surface must keep registering, and
+    the DESIGN.md rows of memscope's computed names. (Single
+    registration authority and a DESIGN.md entry per literal name are
+    cooprt_lint's registry-authority rule.)"""
     problems: list[str] = []
+    # Conservation-critical memscope families (per-SM, GPU,
+    # interconnect, DRAM, reuse); the names are computed, so match
+    # the family prefix in the source text.
     cpp = (REPO / "src/memscope/memscope.cpp").read_text()
-
-    names = set(re.findall(r'registry\.probe\("(memscope\.[\w.]+)"',
-                           cpp))
-    if not names:
-        return ["src/memscope/memscope.cpp registers no literal "
-                "memscope.* probes"]
-
     for family in ("memscope.sm", "memscope.gpu.", "memscope.mem.",
                    "memscope.dram.", "memscope.l1.", "memscope.l2."):
         if family not in cpp:
             problems.append(
                 f"src/memscope/memscope.cpp no longer registers "
                 f"{family}* probes")
-
     design = (REPO / "DESIGN.md").read_text()
-    for name in sorted(names):
-        if f"`{name}`" not in design:
-            problems.append(
-                f"probe `{name}` is missing from the DESIGN.md "
-                f"memscope probe table")
-    # Computed names (per-SM prefix, per-level suffix) are documented
-    # as patterns; the patterns themselves must stay in DESIGN.md.
     for pattern in ("`memscope.sm<i>.node_accesses`",
                     "`memscope.sm<i>.node_bytes`",
                     "`memscope.gpu.level_<lvl>`"):
@@ -161,98 +138,20 @@ def memscope_problems() -> list[str]:
                 f"probe pattern {pattern} is missing from the "
                 f"DESIGN.md memscope probe table")
 
-    for src in (REPO / "src").rglob("*.cpp"):
-        if src.name == "memscope.cpp":
-            continue
-        if re.search(r'probe\(\s*"memscope\.', src.read_text()):
-            problems.append(
-                f"{src.relative_to(REPO)} registers memscope.* "
-                f"probes; memscope.cpp is the single registration "
-                f"authority")
-    return problems
-
-
-def telemetry_problems() -> list[str]:
-    """Cross-check the host-telemetry probe surface.
-
-    src/telemetry/telemetry.cpp is the single registration authority
-    for ``telemetry.*`` probes; every literal probe name it registers
-    must be documented (in backticks) in the DESIGN.md §16 authority
-    table, and both probe groups (per-run deterministic progress,
-    campaign host gauges) must still be present.
-    """
-    problems: list[str] = []
-    cpp = (REPO / "src/telemetry/telemetry.cpp").read_text()
-
-    names = set(re.findall(r'"(telemetry\.[\w.]+)"', cpp))
-    if not names:
-        return ["src/telemetry/telemetry.cpp registers no literal "
-                "telemetry.* probes"]
-
-    for required in ("telemetry.sim_cycle", "telemetry.rays_retired",
-                     "telemetry.ewma_job_seconds",
-                     "telemetry.eta_seconds"):
-        if required not in names:
-            problems.append(
-                f"src/telemetry/telemetry.cpp no longer registers "
-                f"the {required} probe")
-
-    design = (REPO / "DESIGN.md").read_text()
-    for name in sorted(names):
-        if f"`{name}`" not in design:
-            problems.append(
-                f"probe `{name}` is missing from the DESIGN.md "
-                f"telemetry probe table")
-
-    for src in (REPO / "src").rglob("*.cpp"):
-        if src.name == "telemetry.cpp":
-            continue
-        if re.search(r'probe\(\s*"telemetry\.', src.read_text()):
-            problems.append(
-                f"{src.relative_to(REPO)} registers telemetry.* "
-                f"probes; telemetry.cpp is the single registration "
-                f"authority")
-    return problems
-
-
-def query_problems() -> list[str]:
-    """Cross-check the query-workload probe surface.
-
-    src/query/query.cpp is the single registration authority for
-    ``query.*`` probes (ResultStore::registerMetrics); the three
-    run-progress probes must all still be present, every literal name
-    it registers must be documented (in backticks) in the DESIGN.md
-    §17 probe table, and no other translation unit may register
-    ``query.*`` names.
-    """
-    problems: list[str] = []
-    cpp = (REPO / "src/query/query.cpp").read_text()
-
-    names = set(re.findall(r'probe\("(query\.[\w.]+)"', cpp))
-    if not names:
-        return ["src/query/query.cpp registers no literal query.* "
-                "probes"]
-
-    for required in ("query.queries", "query.rounds", "query.found"):
-        if required not in names:
-            problems.append(
-                f"src/query/query.cpp no longer registers the "
-                f"{required} probe")
-
-    design = (REPO / "DESIGN.md").read_text()
-    for name in sorted(names):
-        if f"`{name}`" not in design:
-            problems.append(
-                f"probe `{name}` is missing from the DESIGN.md "
-                f"query probe table")
-
-    for src in (REPO / "src").rglob("*.cpp"):
-        if src.name == "query.cpp":
-            continue
-        if re.search(r'probe\(\s*"query\.', src.read_text()):
-            problems.append(
-                f"{src.relative_to(REPO)} registers query.* probes; "
-                f"query.cpp is the single registration authority")
+    # Telemetry: per-run deterministic progress and campaign host
+    # gauges. Query: the three run-progress probes of
+    # ResultStore::registerMetrics.
+    for src, required in (
+            ("src/telemetry/telemetry.cpp",
+             ("telemetry.sim_cycle", "telemetry.retired_warps",
+              "telemetry.ewma_job_seconds", "telemetry.eta_seconds")),
+            ("src/query/query.cpp",
+             ("query.queries", "query.rounds", "query.found"))):
+        text = (REPO / src).read_text()
+        for name in required:
+            if not re.search(rf'probe\(\s*"{re.escape(name)}"', text):
+                problems.append(
+                    f"{src} no longer registers the {name} probe")
     return problems
 
 
@@ -293,15 +192,8 @@ def main() -> int:
     # <-> prof.* registry probes).
     problems += prof_bucket_problems()
 
-    # Memscope probe surface (single authority + DESIGN.md table).
-    problems += memscope_problems()
-
-    # Telemetry probe surface (single authority + DESIGN.md table).
-    problems += telemetry_problems()
-
-    # Query-workload probe surface (single authority + DESIGN.md
-    # table).
-    problems += query_problems()
+    # Required probes of the memscope, telemetry and query surfaces.
+    problems += required_probe_problems()
 
     return tool.report(problems, ok="all stats counters are "
                                     "registry-observable")

@@ -1,9 +1,8 @@
 """Shared scaffolding for the repository's Python lint/validation
-tools (``lint_stats_registry``, ``validate_raystats``,
-``validate_memscope`` and ``cooprt_lint``).
+tools (``lint_stats_registry``, ``validate_sinks`` and
+``cooprt_lint``).
 
-Every tool follows the same contract, enforced here once instead of
-four times:
+Every tool follows the same contract, enforced here once:
 
   - usage errors print to stderr and exit 2;
   - a failed check prints ``<tool>: FAIL`` (plus the problems) and

@@ -28,15 +28,16 @@ Usage (exit 0 ok, 1 a check failed, 2 usage)::
 
     python3 tools/validate_sinks.py PATH...        # files or --out DIRs
     python3 tools/validate_sinks.py --identical A B
-    python3 tools/validate_sinks.py --run SIMULATE_CLI DIFF_CLI
+    python3 tools/validate_sinks.py --run SIMULATE_CLI DIFF_CLI [SMOKE...]
 
 Every file in a directory must carry a known sink suffix, so a new
 sink cannot go unvalidated. ``--identical`` compares the
 deterministic projection of two sinks or event logs: every ``"host"``
 object stripped, per-job event lines sorted (CI uses it to prove
 ``--jobs 1`` and ``--jobs 4`` agree). ``--run`` produces its own
-inputs through the given binaries and validates them (the ctest
-``validate_sinks`` case).
+inputs through the given binaries and validates them; each named
+smoke (default: all of ``SMOKES``) is the ctest case
+``validate_<smoke>``.
 """
 
 from __future__ import annotations
@@ -876,57 +877,114 @@ def check_identical(a: Path, b: Path) -> str:
     return f"{a} and {b}: deterministic projections identical"
 
 
-def run(simulate_cli: str, diff_cli: str) -> str:
-    """Produce every sink kind through the binaries, then validate."""
+# ---------------------------------------------------------------- smokes
+#
+# ``--run`` makes its own inputs through the binaries. Each smoke
+# writes into its own directory and says exactly which sinks it must
+# find there, so an observer that writes too much or too little fails.
+
+WKND = ("--scene", "wknd", "--resolution", "32")
+PROF_SINKS = (".folded", ".prof.json")
+RAY_SINKS = (".raystats.json", ".raystats.csv")
+MEM_SINKS = (".memscope.json", ".memscope.folded")
+
+
+class Smoke:
+    """Runs the binaries under one temporary directory."""
+
+    def __init__(self, simulate_cli: str, diff_cli: str, tmp: Path):
+        self.simulate_cli, self.diff_cli, self.tmp = (simulate_cli,
+                                                      diff_cli, tmp)
+
+    def call(self, cmd: list[str]) -> None:
+        r = subprocess.run(cmd, stdout=subprocess.DEVNULL)
+        if r.returncode != 0:
+            fail(f"{' '.join(cmd)} exited {r.returncode}")
+
+    def sim(self, out: str, args: tuple[str, ...], writes,
+            stem: str = "wknd") -> Path:
+        """simulate_cli ``args --out TMP/out``, which must write
+        ``<stem><suffix>`` for exactly the report and ``writes``."""
+        d = self.tmp / out
+        cmd = [self.simulate_cli, *args, "--out", str(d)]
+        self.call(cmd)
+        written = sorted(f.name for f in d.iterdir())
+        want = sorted(stem + s for s in (".report.json", *writes))
+        if written != want:
+            fail(f"{' '.join(cmd)} wrote {written}, not {want}")
+        return d
+
+    def diff(self, name: str, base: Path, other: Path) -> Path:
+        out = self.tmp / f"{name}.ndjson"
+        self.call([self.diff_cli, "--quiet", "--json", str(out),
+                   str(base), str(other)])
+        return out
+
+
+def smoke_sinks(s: Smoke) -> list[Path]:
+    """Every observer on: one file per SINKS row, so the table cannot
+    drift from ObserverSet."""
+    return [s.sim("sinks", (*WKND, "--coop", "--trace", "--metrics",
+                            "--profile", "--ray-trace", "--ray-sample-k",
+                            "2", "--memscope", "--telemetry"),
+                  [x for x in SINKS if x != ".report.json"])]
+
+
+def smoke_memscope(s: Smoke) -> list[Path]:
+    return [s.sim("memscope", (*WKND, "--coop", "--memscope",
+                               "--metrics"), (".metrics.csv", *MEM_SINKS))]
+
+
+def smoke_raystats(s: Smoke) -> list[Path]:
+    return [s.sim("raystats", (*WKND, "--coop", "--ray-trace",
+                               "--ray-sample-k", "2", "--trace"),
+                  (".trace.json", *RAY_SINKS))]
+
+
+def smoke_telemetry(s: Smoke) -> list[Path]:
+    return [s.sim("telemetry", (*WKND, "--shader", "pt", "--telemetry",
+                                "--metrics"),
+                  (".metrics.csv", ".telemetry.json"))]
+
+
+def smoke_query(s: Smoke) -> list[Path]:
+    """Scene defaulting: knn lands on ptsu, contain on amrs."""
+    return [s.sim(shader, ("--shader", shader, "--resolution", "12"), (),
+                  stem=scene)
+            for shader, scene in (("knn", "ptsu"), ("contain", "amrs"))]
+
+
+def smoke_diff(s: Smoke) -> list[Path]:
+    """A (baseline, CoopRT) pair and the identity diff."""
+    pair = [s.sim(name, (*WKND, "--profile", "--memscope", *extra),
+                  (*PROF_SINKS, *MEM_SINKS))
+            for name, extra in (("base", ()), ("coop", ("--coop",)))]
+    base, coop = (d / "wknd.report.json" for d in pair)
+    diffs = [s.diff("pair", base, coop), s.diff("identity", base, base)]
+    if not json.loads(diffs[1].read_text()).get("same_fingerprint"):
+        fail("identity diff does not report same_fingerprint")
+    return [*pair, *diffs]
+
+
+#: ``--run`` smokes by name; each is the ctest case validate_<name>.
+SMOKES = {"sinks": smoke_sinks, "memscope": smoke_memscope,
+          "raystats": smoke_raystats, "telemetry": smoke_telemetry,
+          "query": smoke_query, "diff": smoke_diff}
+
+
+def run(simulate_cli: str, diff_cli: str, names: list[str]) -> str:
+    """Run the named smokes, then validate everything they wrote."""
     with tempfile.TemporaryDirectory() as tmp:
-        t = Path(tmp)
-
-        def sim(out: str, *args: str) -> Path:
-            cmd = [simulate_cli, *args, "--out", str(t / out)]
-            r = subprocess.run(cmd, stdout=subprocess.DEVNULL)
-            if r.returncode != 0:
-                fail(f"{' '.join(cmd)} exited {r.returncode}")
-            return t / out
-
-        # Every observer on: the directory must hold exactly one file
-        # per SINKS row, so the table cannot drift from ObserverSet.
-        every = sim("all", "--scene", "wknd", "--coop", "--resolution",
-                    "32", "--trace", "--metrics", "--profile",
-                    "--ray-trace", "--ray-sample-k", "2", "--memscope",
-                    "--telemetry")
-        written = sorted(f.name for f in every.iterdir())
-        if written != sorted("wknd" + s for s in SINKS):
-            fail(f"every-observer run wrote {written}, not one file "
-                 f"per sink suffix {list(SINKS)}")
-        # Scene defaulting: knn lands on ptsu, contain on amrs.
-        queries = [sim(shader, "--shader", shader, "--resolution", "12")
-                   for shader in ("knn", "contain")]
-        for d, scene in zip(queries, ("ptsu", "amrs")):
-            if not (d / f"{scene}.report.json").is_file():
-                fail(f"{d.name}: did not default to scene {scene!r}")
-        pair = [sim(name, "--scene", "wknd", "--resolution", "32",
-                    "--profile", "--memscope", *extra)
-                for name, extra in (("base", []), ("coop", ["--coop"]))]
-        base, coop = (d / "wknd.report.json" for d in pair)
-        diffs = []
-        for name, other in (("pair", coop), ("identity", base)):
-            out = t / f"{name}.ndjson"
-            cmd = [diff_cli, "--quiet", "--json", str(out), str(base),
-                   str(other)]
-            r = subprocess.run(cmd)
-            if r.returncode != 0:
-                fail(f"{' '.join(cmd)} exited {r.returncode}")
-            diffs.append(str(out))
-        if not json.loads((t / "identity.ndjson").read_text()
-                          ).get("same_fingerprint"):
-            fail("identity diff does not report same_fingerprint")
-        return validate([str(every), *map(str, queries),
-                         *map(str, pair), *diffs])
+        s = Smoke(simulate_cli, diff_cli, Path(tmp))
+        paths = [p for name in names for p in SMOKES[name](s)]
+        return f"{', '.join(names)}: " + validate(list(map(str, paths)))
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) == 4 and argv[1] == "--run":
-        return tool.report([], ok=run(argv[2], argv[3]))
+    if len(argv) >= 4 and argv[1] == "--run" and \
+            set(argv[4:]) <= set(SMOKES):
+        return tool.report([], ok=run(argv[2], argv[3],
+                                      argv[4:] or list(SMOKES)))
     if len(argv) == 4 and argv[1] == "--identical":
         return tool.report([], ok=check_identical(Path(argv[2]),
                                                   Path(argv[3])))
@@ -936,7 +994,8 @@ def main(argv: list[str]) -> int:
         "usage: validate_sinks.py PATH...   (sink files, JSON-lines "
         "files or --out DIRs)\n"
         "       validate_sinks.py --identical A B\n"
-        "       validate_sinks.py --run SIMULATE_CLI DIFF_CLI")
+        "       validate_sinks.py --run SIMULATE_CLI DIFF_CLI [SMOKE...]"
+        f"\n         (SMOKE: {', '.join(SMOKES)}; default all)")
 
 
 if __name__ == "__main__":

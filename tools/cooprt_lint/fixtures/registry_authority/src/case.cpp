@@ -19,4 +19,5 @@ registerAll(Registry &reg, const std::string &name)
     reg.probe("prof.outside", 6.0);       // V: owned family, wrong file
     reg.probe("memscope." + name, 7.0);   // V: computed, wrong file
     reg.probe("unit.prose.x", 8.0);       // V: prose is no wildcard row
+    reg.probe("unit.cell.x", 9.0);        // V: wildcard not in first cell
 }

@@ -11,7 +11,8 @@ Only *literal dotted* names (``"exec.jobs_queued"``) are checked
 for duplicates and documentation; computed names (``prefix +
 ".hits"``) follow their prefix family's wildcard entry (``rtunit.*``)
 and are validated at runtime by the registry's own collision audit.
-A wildcard documents its family only in a DESIGN.md table row.
+A wildcard documents its family only as the first cell of a DESIGN.md
+table row.
 
 Some metric families additionally have a single *owning file* (the
 DESIGN.md authority tables): a ``prof.*`` probe registered outside
@@ -28,15 +29,16 @@ import re
 
 from model import Project, Rule
 
-_LITERAL_REG_RE = re.compile(
-    r'\b(?:probe|add)\s*\(\s*"([\w]+(?:\.[\w]+)+)"')
+#: A registration whose name starts with a string literal: group 1 is
+#: the literal, group 2 its ``family.`` prefix. A computed name
+#: (``"memscope." + x``) matches as well as a literal one.
+_REG_RE = re.compile(r'\b(?:probe|add)\s*\(\s*"((\w+\.)[^"]*)"')
 
-_WILDCARD_RE = re.compile(r"`([\w.]+)\.\*`")
+#: A literal that is a whole dotted name, not a computed name's prefix.
+_DOTTED_RE = re.compile(r"\w+(?:\.\w+)+")
 
-#: Any registration whose name literal starts ``family.``: catches a
-#: computed name (``"memscope." + x``) as well as a literal one.
-_FAMILY_REG_RE = re.compile(
-    r'\b(?:probe|add)\s*\(\s*"((\w+\.)[^"]*)"')
+#: A wildcard family documented as the first cell of a table row.
+_WILDCARD_ROW_RE = re.compile(r"^\s*\|\s*`([\w.]+)\.\*`\s*\|", re.M)
 
 #: Metric families with a single registration authority: names under
 #: the prefix may only be registered from the owning file (mirrors
@@ -63,14 +65,14 @@ class RegistryAuthority(Rule):
             if not self.applies_to(facts.rel):
                 continue
             nc = facts.src.nc
-            for m in _LITERAL_REG_RE.finditer(nc):
-                sites.setdefault(m.group(1), []).append(
-                    (facts.rel, facts.src.line_of(m.start())))
-            for m in _FAMILY_REG_RE.finditer(nc):
+            for m in _REG_RE.finditer(nc):
+                line = facts.src.line_of(m.start())
+                if _DOTTED_RE.fullmatch(m.group(1)):
+                    sites.setdefault(m.group(1), []).append(
+                        (facts.rel, line))
                 owner = _AUTHORITY_FILES.get(m.group(2))
                 if owner is not None and facts.rel != owner:
-                    add(self.id, facts.rel,
-                        facts.src.line_of(m.start()),
+                    add(self.id, facts.rel, line,
                         f"metric '{m.group(1)}' registered outside "
                         f"its authority file",
                         f"the {m.group(2)}* family is registered "
@@ -80,11 +82,10 @@ class RegistryAuthority(Rule):
                         f"API")
 
         design = project.design_md()
-        # Only a table row documents a wildcard family: prose that
-        # names `telemetry.*` does not document every telemetry name.
-        rows = "\n".join(line for line in design.splitlines()
-                         if line.lstrip().startswith("|"))
-        wildcards = {w + "." for w in _WILDCARD_RE.findall(rows)}
+        # Only a row that opens with it documents a wildcard family:
+        # prose or a later cell that names `exec.*` does not document
+        # every exec name.
+        wildcards = {w + "." for w in _WILDCARD_ROW_RE.findall(design)}
 
         for name in sorted(sites):
             where = sites[name]

@@ -7,15 +7,21 @@ file suffix, plus the laws that span the sinks of one run.
 sanitized job tag such as ``wknd_coop`` for campaign_cli). ``SINKS``
 below holds the same ten suffixes; a file is checked by its longest
 matching suffix, so ``x.memscope.folded`` is never read as a prof
-``.folded``. JSON-lines files (``.jsonl``/``.ndjson``) are checked
-line by line by shape:
+``.folded``. JSON-lines files (``.jsonl``/``.ndjson``, and a
+``.json`` file given by name that no sink suffix matches) hold one
+kind of line each, told apart by shape:
 
-  - ``"ev"``: a telemetry event log, checked as a whole for
-    conservation (DESIGN.md §16);
-  - ``"other_key"``: a diff document, checked for the delta laws
-    (DESIGN.md §18);
-  - ``"tag"`` + ``"ok"``: a campaign line, whose outcome must be an
-    ok, schema-valid report (query runs: oracle-clean, §17).
+  - ``events`` (``"ev"``): a telemetry event log, checked as a whole
+    for conservation (DESIGN.md §16);
+  - ``diffs`` (``"other_key"``): diff documents, checked for the
+    delta laws (DESIGN.md §18);
+  - ``campaign`` (``"tag"``): campaign lines, whose outcomes must be
+    ok, schema-valid reports (query runs: oracle-clean, §17);
+  - ``reports`` (``"run_key"``): ``simulate_cli --json`` reports.
+
+``--lines KIND`` demands that kind of every JSON-lines file given;
+``--lines queries`` demands campaign lines whose outcomes all carry a
+query block.
 
 Laws spanning one stem's sinks: every sink names the same scene; the
 prof folded stacks sum to the bucket total; the memscope folded
@@ -26,7 +32,7 @@ the ``rays ...``/``... lane ...`` tracks when the ray recorder ran.
 
 Usage (exit 0 ok, 1 a check failed, 2 usage)::
 
-    python3 tools/validate_sinks.py PATH...        # files or --out DIRs
+    python3 tools/validate_sinks.py [--lines KIND] PATH...  # files, DIRs
     python3 tools/validate_sinks.py --identical A B
     python3 tools/validate_sinks.py --run SIMULATE_CLI DIFF_CLI [SMOKE...]
 
@@ -99,8 +105,8 @@ def expect(obj: dict, key: str, kind: type, where: str):
     return v
 
 
-def level_sum(obj: dict, where: str) -> int:
-    return sum(counter(obj, lvl, where) for lvl in LEVELS)
+def level_sum(obj: dict, where: str, value=counter) -> int:
+    return sum(value(obj, lvl, where) for lvl in LEVELS)
 
 
 def check_build(build, where: str) -> None:
@@ -126,6 +132,33 @@ def expect_delta(obj: dict, key: str, where: str) -> dict:
         fail(f"{where}.{key}: delta {d['delta']} != other "
              f"{d['other']} - base {d['base']}")
     return d
+
+
+def delta(obj: dict, key: str, where: str) -> int:
+    return expect_delta(obj, key, where)["delta"]
+
+
+def check_depths(rows: list, where: str, value,
+                 nodes: tuple[int, int]) -> None:
+    """Memscope depth rows (``value`` = counter) or their diff
+    (``value`` = delta): depths strictly increasing, each row's
+    serving levels summing to its accesses, and the rows summing to
+    the node (accesses, bytes)."""
+    sums, last = [0, 0], 0
+    for i, row in enumerate(rows):
+        rwhere = f"{where}.depths[{i}]"
+        depth = counter(row, "depth", rwhere)
+        if depth <= last:
+            fail(f"{rwhere}: depth {depth} not strictly increasing")
+        last = depth
+        acc = value(row, "accesses", rwhere)
+        if level_sum(row, rwhere, value) != acc:
+            fail(f"{rwhere}: serving levels do not sum to accesses {acc}")
+        sums[0] += acc
+        sums[1] += value(row, "bytes", rwhere)
+    if tuple(sums) != nodes:
+        fail(f"{where}: depth rows hold {sums[0]} accesses / {sums[1]} "
+             f"bytes, not the node {nodes[0]} / {nodes[1]}")
 
 
 @functools.cache
@@ -231,7 +264,8 @@ def check_report_doc(doc: dict, where: str) -> str:
     check_build(doc.get("build"), where)
     for key in expect(doc, "rt_unit", dict, where):
         counter(doc["rt_unit"], key, f"{where}.rt_unit")
-    if doc["run_key"]["shader"] in QUERY_WORKLOADS or "query" in doc:
+    shader = expect(doc, "run_key", dict, where).get("shader")
+    if shader in QUERY_WORKLOADS or "query" in doc:
         check_query(doc, where)
     return scene
 
@@ -384,29 +418,16 @@ def check_memscope(path: Path) -> str:
         fail(f"{where}: nodes: serving-level histogram does not sum to "
              f"accesses = {total}")
 
-    depth_acc = depth_bytes = last = 0
-    for i, d in enumerate(expect(doc, "depths", list, where)):
-        dwhere = f"{where}: depths[{i}]"
-        depth = counter(d, "depth", dwhere)
-        if depth <= last:
-            fail(f"{dwhere}: depth {depth} not strictly increasing")
-        last = depth
-        acc = counter(d, "accesses", dwhere)
-        depth_acc += acc
-        depth_bytes += counter(d, "bytes", dwhere)
+    depths = expect(doc, "depths", list, where)
+    check_depths(depths, where, counter, (total, nodes["bytes"]))
+    for i, d in enumerate(depths):
+        dwhere = f"{where}.depths[{i}]"
         counter(d, "lanes", dwhere)
-        if level_sum(d, dwhere) != acc:
-            fail(f"{dwhere}: level histogram does not sum to "
-                 f"accesses = {acc}")
         phases = expect(d, "phases", dict, dwhere)
         if sum(counter(phases, p, f"{dwhere}.phases")
-               for p in PHASES) != acc:
+               for p in PHASES) != d["accesses"]:
             fail(f"{dwhere}: phase histogram does not sum to "
-                 f"accesses = {acc}")
-    if (depth_acc, depth_bytes) != (total, nodes["bytes"]):
-        fail(f"{where}: per-depth rows hold {depth_acc} accesses / "
-             f"{depth_bytes} bytes but nodes hold {total} / "
-             f"{nodes['bytes']}")
+                 f"accesses = {d['accesses']}")
 
     prev = None
     for i, h in enumerate(expect(doc, "hot_nodes", list, where)):
@@ -537,6 +558,13 @@ SINKS = {
     ".telemetry.json": check_telemetry,
 }
 LINE_SUFFIXES = (".jsonl", ".ndjson")
+#: JSON document kinds, each told apart by a key it carries, tried in
+#: this order (a diff also carries a run_key, a job event a tag).
+DOC_KINDS = {"events": "ev", "diffs": "other_key", "campaign": "tag",
+             "reports": "run_key"}
+#: ``--lines`` kinds: the document kinds, and campaign lines that must
+#: all carry a query block.
+LINES_KINDS = (*DOC_KINDS, "queries")
 
 
 def sink_suffix(name: str) -> str | None:
@@ -738,76 +766,67 @@ def check_diff(doc: dict, where: str) -> bool:
     if "memscope" in doc:
         ms = expect(doc, "memscope", dict, where)
         mwhere = f"{where}.memscope"
-        accesses = expect_delta(ms, "node_accesses", mwhere)["delta"]
-        node_bytes = expect_delta(ms, "node_bytes", mwhere)["delta"]
-        levels = expect(ms, "levels", dict, mwhere)
-        level_delta = sum(expect_delta(levels, lvl, f"{mwhere}.levels")
-                          ["delta"] for lvl in LEVELS)
+        accesses = delta(ms, "node_accesses", mwhere)
+        node_bytes = delta(ms, "node_bytes", mwhere)
+        level_delta = level_sum(expect(ms, "levels", dict, mwhere),
+                                f"{mwhere}.levels", delta)
         if level_delta != accesses:
             fail(f"{mwhere}: serving-level deltas sum to {level_delta}, "
                  f"not the access delta {accesses}")
-        depth_acc = depth_bytes = last = 0
-        for i, row in enumerate(expect(ms, "depths", list, mwhere)):
-            rwhere = f"{mwhere}.depths[{i}]"
-            depth = row.get("depth")
-            if not isinstance(depth, int) or depth <= last:
-                fail(f"{rwhere}: depth {depth!r} not strictly increasing")
-            last = depth
-            acc = expect_delta(row, "accesses", rwhere)["delta"]
-            depth_acc += acc
-            depth_bytes += expect_delta(row, "bytes", rwhere)["delta"]
-            row_levels = sum(expect_delta(row, lvl, rwhere)["delta"]
-                             for lvl in LEVELS)
-            if row_levels != acc:
-                fail(f"{rwhere}: level deltas sum to {row_levels}, not "
-                     f"the access delta {acc}")
-        if (depth_acc, depth_bytes) != (accesses, node_bytes):
-            fail(f"{mwhere}: depth rows sum to {depth_acc} accesses / "
-                 f"{depth_bytes} bytes, not {accesses} / {node_bytes}")
+        check_depths(expect(ms, "depths", list, mwhere), mwhere, delta,
+                     (accesses, node_bytes))
 
     if "attribution" not in doc:
         fail(f"{where}: missing 'attribution' summary")
     return identical
 
 
-def check_campaign_line(doc: dict, where: str) -> None:
-    if doc["ok"] is not True:
+def check_campaign_line(doc: dict, where: str, query: bool) -> None:
+    """An ok job whose outcome is a valid report (with a query block
+    if ``query``)."""
+    if expect(doc, "ok", bool, where) is not True:
         fail(f"{where}: job {doc['tag']!r} did not finish ok")
-    check_report_doc(expect(doc, "outcome", dict, where),
-                     f"{where} ({doc['tag']})")
+    outcome = expect(doc, "outcome", dict, where)
+    where += f" ({doc['tag']})"
+    check_report_doc(outcome, where)
+    if query and "query" not in outcome:
+        fail(f"{where}: outcome carries no 'query' block")
 
 
-def check_lines(path: Path) -> str:
-    """A JSON-lines file, each line checked by its shape."""
-    events = []
-    kinds = defaultdict(int)
-    for i, doc in enumerate(read_lines(path), 1):
+def check_lines(path: Path, want: str | None) -> str:
+    """A JSON-lines file of one kind of line (``want``, if given)."""
+    docs = read_lines(path)
+    kinds = set()
+    for i, doc in enumerate(docs, 1):
+        kind = next((k for k, key in DOC_KINDS.items() if key in doc), None)
+        if kind is None:
+            fail(f"{path}:{i}: line is not one of {', '.join(DOC_KINDS)}")
+        kinds.add(kind)
+    if len(kinds) != 1:
+        fail(f"{path}: mixes {' and '.join(sorted(kinds))}; a JSON-lines "
+             "file holds one kind")
+    kind = kinds.pop()
+    if want not in (None, kind) and (want, kind) != ("queries", "campaign"):
+        fail(f"{path}: holds {kind}, expected {want}")
+    if kind == "events":
+        return f"{len(docs)} events over {check_event_log(path, docs)} jobs"
+    for i, doc in enumerate(docs, 1):
         where = f"{path}:{i}"
-        if "ev" in doc:
-            events.append(doc)
-            kind = "events"
-        elif "other_key" in doc:
+        if kind == "diffs":
             check_diff(doc, where)
-            kind = "diffs"
-        elif "tag" in doc and "ok" in doc:
-            check_campaign_line(doc, where)
-            kind = "campaign lines"
+        elif kind == "reports":
+            check_report_doc(doc, where)
         else:
-            fail(f"{where}: line is not an event, diff or campaign line")
-        kinds[kind] += 1
-    if events:
-        if len(kinds) != 1:
-            fail(f"{path}: event log mixed with other lines")
-        jobs = check_event_log(path, events)
-        return f"{len(events)} events over {jobs} jobs"
-    return ", ".join(f"{n} {k}" for k, n in sorted(kinds.items()))
+            check_campaign_line(doc, where, query=want == "queries")
+    return f"{len(docs)} lines of {kind}"
 
 
 # ---------------------------------------------------------------- drivers
 
-def validate(paths: list[str]) -> str:
+def validate(paths: list[str], want: str | None = None) -> str:
     """Check every file (directories: every file in them, each of
-    which must be a known sink), then the laws of each stem."""
+    which must be a known sink), then the laws of each stem. ``want``
+    is the kind every JSON-lines file must hold."""
     stems: dict[str, dict[str, Path]] = defaultdict(dict)
     scenes: dict[str, set[str]] = defaultdict(set)
     notes = []
@@ -824,16 +843,19 @@ def validate(paths: list[str]) -> str:
         for f in files:
             suffix = sink_suffix(f.name)
             if suffix is None:
-                if p.is_dir() or not f.name.endswith(LINE_SUFFIXES):
+                if p.is_dir() or not f.name.endswith(
+                        (*LINE_SUFFIXES, ".json")):
                     fail(f"{f}: not a known sink suffix "
                          f"({', '.join(SINKS)})")
-                notes.append(f"{f}: {check_lines(f)}")
+                notes.append(f"{f}: {check_lines(f, want)}")
                 continue
             stem = str(f)[:-len(suffix)]
             stems[stem][suffix] = f
             scene = SINKS[suffix](f)
             if scene is not None:
                 scenes[stem].add(scene)
+    if want is not None and not notes:
+        fail(f"--lines {want}: no JSON-lines file given")
     for stem, sinks in sorted(stems.items()):
         check_stem(stem, sinks, scenes[stem])
     if stems:
@@ -879,104 +901,71 @@ def check_identical(a: Path, b: Path) -> str:
 
 # ---------------------------------------------------------------- smokes
 #
-# ``--run`` makes its own inputs through the binaries. Each smoke
-# writes into its own directory and says exactly which sinks it must
-# find there, so an observer that writes too much or too little fails.
+# ``--run`` makes its own inputs through the binaries. Each run writes
+# into its own directory and says exactly which sinks it must find
+# there, so an observer that writes too much or too little fails.
 
 WKND = ("--scene", "wknd", "--resolution", "32")
 PROF_SINKS = (".folded", ".prof.json")
 RAY_SINKS = (".raystats.json", ".raystats.csv")
 MEM_SINKS = (".memscope.json", ".memscope.folded")
 
-
-class Smoke:
-    """Runs the binaries under one temporary directory."""
-
-    def __init__(self, simulate_cli: str, diff_cli: str, tmp: Path):
-        self.simulate_cli, self.diff_cli, self.tmp = (simulate_cli,
-                                                      diff_cli, tmp)
-
-    def call(self, cmd: list[str]) -> None:
-        r = subprocess.run(cmd, stdout=subprocess.DEVNULL)
-        if r.returncode != 0:
-            fail(f"{' '.join(cmd)} exited {r.returncode}")
-
-    def sim(self, out: str, args: tuple[str, ...], writes,
-            stem: str = "wknd") -> Path:
-        """simulate_cli ``args --out TMP/out``, which must write
-        ``<stem><suffix>`` for exactly the report and ``writes``."""
-        d = self.tmp / out
-        cmd = [self.simulate_cli, *args, "--out", str(d)]
-        self.call(cmd)
-        written = sorted(f.name for f in d.iterdir())
-        want = sorted(stem + s for s in (".report.json", *writes))
-        if written != want:
-            fail(f"{' '.join(cmd)} wrote {written}, not {want}")
-        return d
-
-    def diff(self, name: str, base: Path, other: Path) -> Path:
-        out = self.tmp / f"{name}.ndjson"
-        self.call([self.diff_cli, "--quiet", "--json", str(out),
-                   str(base), str(other)])
-        return out
-
-
-def smoke_sinks(s: Smoke) -> list[Path]:
-    """Every observer on: one file per SINKS row, so the table cannot
-    drift from ObserverSet."""
-    return [s.sim("sinks", (*WKND, "--coop", "--trace", "--metrics",
-                            "--profile", "--ray-trace", "--ray-sample-k",
-                            "2", "--memscope", "--telemetry"),
-                  [x for x in SINKS if x != ".report.json"])]
-
-
-def smoke_memscope(s: Smoke) -> list[Path]:
-    return [s.sim("memscope", (*WKND, "--coop", "--memscope",
-                               "--metrics"), (".metrics.csv", *MEM_SINKS))]
-
-
-def smoke_raystats(s: Smoke) -> list[Path]:
-    return [s.sim("raystats", (*WKND, "--coop", "--ray-trace",
+#: ``--run`` smokes by name, each the ctest case validate_<name>: its
+#: simulate_cli runs as (out dir, args, stem, sinks beside the report).
+SMOKES = {
+    # Every observer on: one file per SINKS row, so the table cannot
+    # drift from ObserverSet.
+    "sinks": [("sinks", (*WKND, "--coop", "--trace", "--metrics",
+                         "--profile", "--ray-trace", "--ray-sample-k",
+                         "2", "--memscope", "--telemetry"),
+               "wknd", tuple(x for x in SINKS if x != ".report.json"))],
+    "memscope": [("memscope", (*WKND, "--coop", "--memscope",
+                               "--metrics"),
+                  "wknd", (".metrics.csv", *MEM_SINKS))],
+    "raystats": [("raystats", (*WKND, "--coop", "--ray-trace",
                                "--ray-sample-k", "2", "--trace"),
-                  (".trace.json", *RAY_SINKS))]
+                  "wknd", (".trace.json", *RAY_SINKS))],
+    "telemetry": [("telemetry", (*WKND, "--shader", "pt", "--telemetry",
+                                 "--metrics"),
+                   "wknd", (".metrics.csv", ".telemetry.json"))],
+    # Scene defaulting: knn lands on ptsu, contain on amrs.
+    "query": [(shader, ("--shader", shader, "--resolution", "12"),
+               scene, ())
+              for shader, scene in (("knn", "ptsu"), ("contain", "amrs"))],
+    # A (baseline, CoopRT) pair, diffed in run(), and the identity diff.
+    "diff": [(out, (*WKND, "--profile", "--memscope", *extra),
+              "wknd", (*PROF_SINKS, *MEM_SINKS))
+             for out, extra in (("base", ()), ("coop", ("--coop",)))],
+}
 
 
-def smoke_telemetry(s: Smoke) -> list[Path]:
-    return [s.sim("telemetry", (*WKND, "--shader", "pt", "--telemetry",
-                                "--metrics"),
-                  (".metrics.csv", ".telemetry.json"))]
-
-
-def smoke_query(s: Smoke) -> list[Path]:
-    """Scene defaulting: knn lands on ptsu, contain on amrs."""
-    return [s.sim(shader, ("--shader", shader, "--resolution", "12"), (),
-                  stem=scene)
-            for shader, scene in (("knn", "ptsu"), ("contain", "amrs"))]
-
-
-def smoke_diff(s: Smoke) -> list[Path]:
-    """A (baseline, CoopRT) pair and the identity diff."""
-    pair = [s.sim(name, (*WKND, "--profile", "--memscope", *extra),
-                  (*PROF_SINKS, *MEM_SINKS))
-            for name, extra in (("base", ()), ("coop", ("--coop",)))]
-    base, coop = (d / "wknd.report.json" for d in pair)
-    diffs = [s.diff("pair", base, coop), s.diff("identity", base, base)]
-    if not json.loads(diffs[1].read_text()).get("same_fingerprint"):
-        fail("identity diff does not report same_fingerprint")
-    return [*pair, *diffs]
-
-
-#: ``--run`` smokes by name; each is the ctest case validate_<name>.
-SMOKES = {"sinks": smoke_sinks, "memscope": smoke_memscope,
-          "raystats": smoke_raystats, "telemetry": smoke_telemetry,
-          "query": smoke_query, "diff": smoke_diff}
+def call(cmd: list[str]) -> None:
+    r = subprocess.run(cmd, stdout=subprocess.DEVNULL)
+    if r.returncode != 0:
+        fail(f"{' '.join(cmd)} exited {r.returncode}")
 
 
 def run(simulate_cli: str, diff_cli: str, names: list[str]) -> str:
     """Run the named smokes, then validate everything they wrote."""
     with tempfile.TemporaryDirectory() as tmp:
-        s = Smoke(simulate_cli, diff_cli, Path(tmp))
-        paths = [p for name in names for p in SMOKES[name](s)]
+        paths = []
+        for out, args, stem, writes in (r for n in names for r in SMOKES[n]):
+            paths.append(Path(tmp) / out)
+            cmd = [simulate_cli, *args, "--out", str(paths[-1])]
+            call(cmd)
+            written = sorted(f.name for f in paths[-1].iterdir())
+            want = sorted(stem + s for s in (".report.json", *writes))
+            if written != want:
+                fail(f"{' '.join(cmd)} wrote {written}, not {want}")
+        if "diff" in names:
+            base, coop = (f"{tmp}/{d}/wknd.report.json"
+                          for d in ("base", "coop"))
+            for name, other in (("pair", coop), ("identity", base)):
+                paths.append(Path(tmp) / f"{name}.ndjson")
+                call([diff_cli, "--quiet", "--json", str(paths[-1]), base,
+                      other])
+            if not json.loads(paths[-1].read_text())["same_fingerprint"]:
+                fail("identity diff does not report same_fingerprint")
         return f"{', '.join(names)}: " + validate(list(map(str, paths)))
 
 
@@ -988,11 +977,15 @@ def main(argv: list[str]) -> int:
     if len(argv) == 4 and argv[1] == "--identical":
         return tool.report([], ok=check_identical(Path(argv[2]),
                                                   Path(argv[3])))
-    if len(argv) >= 2 and not any(a.startswith("-") for a in argv[1:]):
-        return tool.report([], ok=validate(argv[1:]))
+    args, want = argv[1:], None
+    if len(args) >= 2 and args[0] == "--lines" and args[1] in LINES_KINDS:
+        args, want = args[2:], args[1]
+    if args and not any(a.startswith("-") for a in args):
+        return tool.report([], ok=validate(args, want))
     return tool.usage(
-        "usage: validate_sinks.py PATH...   (sink files, JSON-lines "
-        "files or --out DIRs)\n"
+        "usage: validate_sinks.py [--lines KIND] PATH...   (sink files, "
+        "JSON-lines files or --out DIRs)\n"
+        f"         (KIND: {', '.join(LINES_KINDS)})\n"
         "       validate_sinks.py --identical A B\n"
         "       validate_sinks.py --run SIMULATE_CLI DIFF_CLI [SMOKE...]"
         f"\n         (SMOKE: {', '.join(SMOKES)}; default all)")

@@ -1,150 +1,33 @@
 /**
  * @file
- * Golden outcome digests for the configurations the RT-unit and
- * cache hot paths reach but test_pinned_cycles.cpp does not: other
- * scenes, query workloads, BFS order, steal-from-bottom, subwarps,
- * the non-idle helper rule, the GTO / oldest-first schedulers,
- * prefetch plus predictor and a larger warp buffer.
+ * Checks every row of the golden-outcome table (outcome_digest.hpp):
+ * each hot-path and Fig. 9 row's plain run matches its pinned cycles
+ * and digest, and each seed and hot-path row (see kUnobserved) gives
+ * the same digest again with every observer attached, while each
+ * observer shows it saw the run. The default build and the
+ * COOPRT_CHECK build must both pass this file unchanged; that is the
+ * audit layer's zero-perturbation proof.
  *
- * Each digest is an FNV-1a hash over the cycle count, every
- * RtUnitStats field, the L1/L2/DRAM counters and the query
- * checksum (hostbench's outcomeDigest). The values were captured
- * before the hot-path data structures were rewritten (flat cache tag
- * store, lane masks, ring stacks); that rewrite, and any later
- * change that claims to be bit-identical, must pass them unchanged.
- * A deliberate timing change re-pins them, reviewed like a cycle
- * re-pin.
+ * The named cases below (PinnedCycles, Determinism,
+ * TraceIntegration) are one-line checks over the same rows: the seed
+ * rows' plain runs, each observer alone, repeated runs in one process.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <functional>
+#include <algorithm>
+#include <iomanip>
+#include <iterator>
 #include <ostream>
+#include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
-#include "core/simulation.hpp"
+#include "core/observers.hpp"
+#include "outcome_digest.hpp"
 
-namespace {
-
-using namespace cooprt;
-
-void
-fnvMix(std::uint64_t &h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-}
-
-std::uint64_t
-outcomeDigest(const core::RunOutcome &o)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    const auto &g = o.gpu;
-    fnvMix(h, g.cycles);
-    for (const rtunit::RtUnitStatField &f : rtunit::kRtUnitStatFields)
-        fnvMix(h, g.rt.*f.member);
-    for (const mem::CacheStats *c : {&g.l1, &g.l2})
-        for (std::uint64_t v : {c->accesses, c->hits, c->misses,
-                                c->mshr_merges, c->sector_misses})
-            fnvMix(h, v);
-    fnvMix(h, g.dram.requests);
-    fnvMix(h, g.dram.bytes);
-    fnvMix(h, g.dram.busy_cycles);
-    fnvMix(h, g.mem_sys.l2_bytes);
-    fnvMix(h, g.mem_sys.l2_busy_cycles);
-    fnvMix(h, o.query.queries);
-    fnvMix(h, o.query.rounds);
-    fnvMix(h, o.query.found);
-    fnvMix(h, o.query.checksum);
-    return h;
-}
-
-struct Golden
-{
-    const char *name;
-    const char *scene;
-    int resolution;
-    core::ShaderKind shader;
-    std::function<void(core::RunConfig &)> tweak;
-    std::uint64_t digest;
-    std::uint64_t cycles;
-};
-
-using core::RunConfig;
-using core::ShaderKind;
-using rtunit::TraversalOrder;
-using rtunit::WarpSchedPolicy;
-
-const Golden kGoldens[] = {
-    {"crnvl_coop", "crnvl", 16, ShaderKind::PathTracing,
-     [](RunConfig &c) { c.gpu.trace.coop = true; },
-     0x2f955374a2c96c54ull, 103175u},
-    {"fox_coop", "fox", 16, ShaderKind::PathTracing,
-     [](RunConfig &c) { c.gpu.trace.coop = true; },
-     0x33dfa58022dc3c9dull, 196821u},
-    {"fox_coop_subwarp8", "fox", 16, ShaderKind::PathTracing,
-     [](RunConfig &c) {
-         c.gpu.trace.coop = true;
-         c.gpu.trace.subwarp_size = 8;
-     },
-     0x53bbddbef8bcc102ull, 277910u},
-    {"ptsu_knn_base", "ptsu", 16, ShaderKind::QueryKnn,
-     [](RunConfig &) {}, 0x0951e4cdb8db5f71ull, 110643u},
-    {"ptsu_knn_coop", "ptsu", 16, ShaderKind::QueryKnn,
-     [](RunConfig &c) { c.gpu.trace.coop = true; },
-     0xb64a99e5f44240b0ull, 66143u},
-    {"amrd_contain_coop", "amrd", 16, ShaderKind::QueryContain,
-     [](RunConfig &c) { c.gpu.trace.coop = true; },
-     0x925e3f2dfadcefdeull, 773244u},
-    {"crnvl_coop_bfs", "crnvl", 16, ShaderKind::PathTracing,
-     [](RunConfig &c) {
-         c.gpu.trace.coop = true;
-         c.gpu.trace.order = TraversalOrder::Bfs;
-     },
-     0x75b668fcb5cc9476ull, 118175u},
-    {"wknd_coop_steal_bottom", "wknd", 24, ShaderKind::PathTracing,
-     [](RunConfig &c) {
-         c.gpu.trace.coop = true;
-         c.gpu.trace.steal_from_bottom = true;
-     },
-     0x3501ce59bea23338ull, 14387u},
-    {"bunny_coop_helper_busy", "bunny", 16, ShaderKind::AmbientOcclusion,
-     [](RunConfig &c) {
-         c.gpu.trace.coop = true;
-         c.gpu.trace.helper_requires_idle = false;
-     },
-     0x9613b4d04bac4548ull, 28316u},
-    {"wknd_coop_gto", "wknd", 24, ShaderKind::PathTracing,
-     [](RunConfig &c) {
-         c.gpu.trace.coop = true;
-         c.gpu.trace.sched = WarpSchedPolicy::GreedyThenOldest;
-     },
-     0x276ff99be4bcc7a2ull, 14856u},
-    {"wknd_base_oldest_first", "wknd", 24, ShaderKind::PathTracing,
-     [](RunConfig &c) {
-         c.gpu.trace.sched = WarpSchedPolicy::OldestFirst;
-     },
-     0x4891a2a29be8d1cdull, 30030u},
-    {"wknd_coop_prefetch_predictor", "wknd", 24, ShaderKind::PathTracing,
-     [](RunConfig &c) {
-         c.gpu.trace.coop = true;
-         c.gpu.trace.child_prefetch = true;
-         c.gpu.trace.intersection_predictor = true;
-     },
-     0x9f59eae2aace48c8ull, 13778u},
-    {"ship_shadow_warpbuf8", "ship", 16, ShaderKind::Shadow,
-     [](RunConfig &c) { c.gpu.trace.warp_buffer_entries = 8; },
-     0xec548925b271a534ull, 28884u},
-    {"wknd_coop_sectored_l1", "wknd", 24, ShaderKind::PathTracing,
-     [](RunConfig &c) {
-         c.gpu.trace.coop = true;
-         c.gpu.mem.l1_sector_bytes = 32;
-     },
-     0x555834849d5131f7ull, 14591u},
-};
+namespace cooprt::testutil {
 
 void
 PrintTo(const Golden &g, std::ostream *os)
@@ -152,27 +35,266 @@ PrintTo(const Golden &g, std::ostream *os)
     *os << g.name;
 }
 
-class GoldenDigest : public ::testing::TestWithParam<Golden>
+} // namespace cooprt::testutil
+
+namespace {
+
+using namespace cooprt;
+using testutil::Golden;
+using testutil::golden;
+
+/** @p g's row literal with the pins of @p out, ready to paste. */
+std::string
+replacementRow(const Golden &g, const core::RunOutcome &out)
 {
-};
+    std::ostringstream os;
+    os << "    {\"" << g.name << "\", \"" << g.scene << "\", "
+       << g.resolution << ", \"" << g.shader << "\", TWEAK("
+       << g.tweak_text << "),\n     0x" << std::hex << std::setw(16)
+       << std::setfill('0') << testutil::outcomeDigest(out) << "ull, "
+       << std::dec << out.gpu.cycles << "u},";
+    return os.str();
+}
+
+void
+expectPinned(const Golden &g, const core::RunOutcome &out)
+{
+    if (out.gpu.cycles != g.cycles ||
+        testutil::outcomeDigest(out) != g.digest)
+        ADD_FAILURE() << g.name << ": cycles " << out.gpu.cycles
+                      << " (pinned " << g.cycles << "), digest 0x"
+                      << std::hex << testutil::outcomeDigest(out)
+                      << " (pinned 0x" << g.digest << ")"
+                      << "; a deliberate timing change re-pins the "
+                         "row as\n"
+                      << replacementRow(g, out);
+}
+
+/** @p g's plain run, @p runs times in one process, matches its pins. */
+void
+expectGolden(const Golden &g, int runs = 1)
+{
+    const core::Simulation &sim = core::simulationFor(g.scene);
+    for (int i = 0; i < runs; ++i)
+        expectPinned(g, sim.run(testutil::goldenConfig(g)));
+}
+
+std::uint64_t
+memscopeAccesses(const memscope::Collector &mscope)
+{
+    std::uint64_t total = 0;
+    for (int i = 0; i < mscope.unitCount(); ++i)
+        total += mscope.unitAt(i).accesses;
+    return total;
+}
+
+/** @p g run with the observers of @p spec attached still matches its
+ *  pins, and each observer saw the run. */
+void
+expectObserved(const Golden &g, const core::ObserverSpec &spec)
+{
+    core::RunConfig cfg = testutil::goldenConfig(g);
+    core::ObserverSet obs(spec, cfg);
+    obs.attach(cfg);
+    const core::RunOutcome out = core::simulationFor(g.scene).run(cfg);
+    expectPinned(g, out);
+
+    const gpu::GpuRunResult &r = out.gpu;
+    if (spec.profile) {
+        EXPECT_EQ(r.prof_summary.resident_cycles,
+                  r.rt.retired_trace_latency);
+    }
+    if (const raytrace::Recorder *ray = obs.ray()) {
+        EXPECT_TRUE(r.ray_summary.enabled);
+        EXPECT_GT(ray->stats().rays_sampled, 0u);
+    }
+    if (const memscope::Collector *m = obs.memscope()) {
+        EXPECT_EQ(memscopeAccesses(*m),
+                  r.rt.node_fetches + r.rt.leaf_fetches);
+    }
+    if (spec.telemetry) {
+        EXPECT_EQ(out.telemetry.cycles, r.cycles);
+        EXPECT_EQ(out.telemetry.retired_warps, r.rt.retired_warps);
+    }
+    const trace::RunTraceSummary &ts = out.traceSummary();
+    if (spec.events || spec.metrics) {
+        EXPECT_GT(ts.registered_metrics, 0u);
+    }
+    if (spec.events) {
+        EXPECT_GT(ts.events_recorded, 0u);
+    }
+    if (spec.metrics) {
+        EXPECT_GT(ts.metric_samples, 0u);
+    }
+}
+
+const core::ObserverSpec kAllObservers = {
+    .profile = true, .ray = true, .memscope = true, .telemetry = true,
+    .events = true, .metrics = true};
+
+class GoldenDigest : public ::testing::TestWithParam<Golden>
+{};
 
 TEST_P(GoldenDigest, MatchesPinnedOutcome)
 {
-    const Golden &g = GetParam();
-    core::RunConfig cfg;
-    cfg.resolution = g.resolution;
-    cfg.shader = g.shader;
-    g.tweak(cfg);
-    const core::RunOutcome out = core::simulationFor(g.scene).run(cfg);
-    EXPECT_EQ(out.gpu.cycles, g.cycles) << g.name;
-    EXPECT_EQ(outcomeDigest(out), g.digest)
-        << g.name << ": 0x" << std::hex << outcomeDigest(out);
+    expectGolden(GetParam());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    HotPathConfigs, GoldenDigest, ::testing::ValuesIn(kGoldens),
-    [](const ::testing::TestParamInfo<Golden> &info) {
-        return std::string(info.param.name);
-    });
+class ObservedGolden : public ::testing::TestWithParam<Golden>
+{};
+
+TEST_P(ObservedGolden, ObserversDoNotPerturb)
+{
+    expectObserved(GetParam(), kAllObservers);
+}
+
+/** Hot-path rows the observer pass leaves out (they still run
+ *  plain): with every observer on each takes 1.3-15 s instead of
+ *  0.1-0.4 s, because each `memscope.gpu.*` probe re-sums every node
+ *  counter of every unit at each metrics sample. fox_coop_subwarp16
+ *  keeps fox, CoopRT and subwarps under the pass, amrs_contain_base
+ *  the contain shader. */
+constexpr std::string_view kUnobserved[] = {
+    "fox_coop",   "fox_coop_subwarp4", "fox_coop_subwarp8",
+    "crnvl_coop", "crnvl_coop_bfs",    "amrd_contain_coop"};
+
+std::vector<Golden>
+observedHotPaths()
+{
+    std::vector<Golden> rows;
+    for (const Golden &g : testutil::kHotPathGoldens)
+        if (std::ranges::find(kUnobserved, g.name) == std::end(kUnobserved))
+            rows.push_back(g);
+    return rows;
+}
+
+auto rowName = [](const ::testing::TestParamInfo<Golden> &info) {
+    return std::string(info.param.name);
+};
+
+INSTANTIATE_TEST_SUITE_P(HotPathConfigs, GoldenDigest,
+                         ::testing::ValuesIn(testutil::kHotPathGoldens),
+                         rowName);
+INSTANTIATE_TEST_SUITE_P(Fig09, GoldenDigest,
+                         ::testing::ValuesIn(testutil::kFig09Goldens),
+                         rowName);
+INSTANTIATE_TEST_SUITE_P(SeedRuns, ObservedGolden,
+                         ::testing::ValuesIn(testutil::kSeedGoldens),
+                         rowName);
+INSTANTIATE_TEST_SUITE_P(HotPathConfigs, ObservedGolden,
+                         ::testing::ValuesIn(observedHotPaths()),
+                         rowName);
+
+// The seed rows' plain runs, then each observer alone on them.
+
+TEST(PinnedCycles, WkndPathTracingBaseline)
+{
+    expectGolden(golden("wknd_pt32_base"));
+}
+
+TEST(PinnedCycles, WkndPathTracingCoop)
+{
+    expectGolden(golden("wknd_pt32_coop"));
+}
+
+TEST(PinnedCycles, BunnyAmbientOcclusionCoop)
+{
+    expectGolden(golden("bunny_ao24_coop"));
+}
+
+TEST(PinnedCycles, ShipShadowBaseline)
+{
+    expectGolden(golden("ship_sh24_base"));
+}
+
+TEST(PinnedCycles, WkndPathTracingCoopWithRayRecorder)
+{
+    expectObserved(golden("wknd_pt32_coop"), {.ray = true});
+}
+
+TEST(PinnedCycles, BunnyAmbientOcclusionCoopWithRayRecorder)
+{
+    expectObserved(golden("bunny_ao24_coop"), {.ray = true});
+}
+
+TEST(PinnedCycles, ShipShadowBaselineWithRayRecorder)
+{
+    expectObserved(golden("ship_sh24_base"), {.ray = true});
+}
+
+TEST(PinnedCycles, WkndPathTracingBaselineWithMemscope)
+{
+    expectObserved(golden("wknd_pt32_base"), {.memscope = true});
+}
+
+TEST(PinnedCycles, WkndPathTracingCoopWithMemscope)
+{
+    expectObserved(golden("wknd_pt32_coop"), {.memscope = true});
+}
+
+TEST(PinnedCycles, BunnyAmbientOcclusionCoopWithMemscope)
+{
+    expectObserved(golden("bunny_ao24_coop"), {.memscope = true});
+}
+
+TEST(PinnedCycles, ShipShadowBaselineWithMemscope)
+{
+    expectObserved(golden("ship_sh24_base"), {.memscope = true});
+}
+
+TEST(PinnedCycles, WkndPathTracingBaselineWithTelemetry)
+{
+    expectObserved(golden("wknd_pt32_base"), {.telemetry = true});
+}
+
+TEST(PinnedCycles, WkndPathTracingCoopWithTelemetry)
+{
+    expectObserved(golden("wknd_pt32_coop"), {.telemetry = true});
+}
+
+TEST(PinnedCycles, BunnyAmbientOcclusionCoopWithTelemetry)
+{
+    expectObserved(golden("bunny_ao24_coop"), {.telemetry = true});
+}
+
+TEST(PinnedCycles, ShipShadowBaselineWithTelemetry)
+{
+    expectObserved(golden("ship_sh24_base"), {.telemetry = true});
+}
+
+// The simulator is a pure function of its RunConfig: no hidden
+// global state survives from one run to the next, and a trace
+// session (events and metrics) only observes.
+
+class Determinism : public ::testing::TestWithParam<bool>
+{
+  protected:
+    static const Golden &
+    row()
+    {
+        return golden(GetParam() ? "wknd_pt32_coop" : "wknd_pt32_base");
+    }
+};
+
+TEST_P(Determinism, RepeatedRunsAreBitIdentical)
+{
+    expectGolden(row(), 2);
+}
+
+TEST_P(Determinism, ObservabilitySessionPerturbsNothing)
+{
+    expectObserved(row(), {.events = true, .metrics = true});
+}
+
+INSTANTIATE_TEST_SUITE_P(BaseAndCoop, Determinism, ::testing::Bool(),
+                         [](const auto &info) {
+                             return info.param ? "coop" : "base";
+                         });
+
+TEST(TraceIntegration, TracingDoesNotPerturbTheRun)
+{
+    expectObserved(golden("wknd_base_oldest_first"),
+                   {.events = true, .metrics = true});
+}
 
 } // namespace

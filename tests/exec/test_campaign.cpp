@@ -2,8 +2,9 @@
  * @file
  * Campaign-engine determinism: a parallel run must be bit-identical
  * to a serial run of the same jobs, on real simulations. The four
- * pinned seed baselines (tests/core/test_pinned_cycles.cpp) anchor
- * the comparison to absolute values, not just serial == parallel.
+ * seed rows of the golden-outcome table (tests/core/outcome_digest.hpp)
+ * anchor the comparison to absolute values, not just serial ==
+ * parallel.
  */
 
 #include <gtest/gtest.h>
@@ -12,38 +13,31 @@
 #include <fstream>
 #include <sstream>
 
+#include "../core/outcome_digest.hpp"
 #include "core/report.hpp"
 #include "exec/exec.hpp"
 
 namespace {
 
 using namespace cooprt;
+using testutil::golden;
+using testutil::outcomeDigest;
 
+/** The seed row @p row as a campaign job tagged @p tag. */
 exec::Job
-pinnedJob(const std::string &scene, int resolution,
-          core::ShaderKind shader, bool coop, const std::string &tag)
+pinnedJob(const char *row, const std::string &tag)
 {
-    core::RunConfig cfg;
-    cfg.resolution = resolution;
-    cfg.shader = shader;
-    cfg.gpu.trace.coop = coop;
-    return exec::Job{scene, cfg, tag};
+    const testutil::Golden &g = golden(row);
+    return exec::Job{g.scene, testutil::goldenConfig(g), tag};
 }
 
 std::vector<exec::Job>
 pinnedJobs()
 {
-    std::vector<exec::Job> jobs;
-    jobs.push_back(pinnedJob("wknd", 32, core::ShaderKind::PathTracing,
-                             false, "wknd/pt/base"));
-    jobs.push_back(pinnedJob("wknd", 32, core::ShaderKind::PathTracing,
-                             true, "wknd/pt/coop"));
-    jobs.push_back(pinnedJob("bunny", 24,
-                             core::ShaderKind::AmbientOcclusion, true,
-                             "bunny/ao/coop"));
-    jobs.push_back(pinnedJob("ship", 24, core::ShaderKind::Shadow,
-                             false, "ship/sh/base"));
-    return jobs;
+    return {pinnedJob("wknd_pt32_base", "wknd/pt/base"),
+            pinnedJob("wknd_pt32_coop", "wknd/pt/coop"),
+            pinnedJob("bunny_ao24_coop", "bunny/ao/coop"),
+            pinnedJob("ship_sh24_base", "ship/sh/base")};
 }
 
 TEST(ExecCampaign, ParallelMatchesSerialBitIdentical)
@@ -70,12 +64,12 @@ TEST(ExecCampaign, ParallelMatchesSerialBitIdentical)
             << s[i].tag;
     }
 
-    // Anchored to the seed baselines, so serial == parallel cannot
-    // pass by both being wrong the same way.
-    EXPECT_EQ(p[0].outcome.gpu.cycles, 34868u);
-    EXPECT_EQ(p[1].outcome.gpu.cycles, 18756u);
-    EXPECT_EQ(p[2].outcome.gpu.cycles, 17241u);
-    EXPECT_EQ(p[3].outcome.gpu.cycles, 36232u);
+    // Anchored to the seed rows, so serial == parallel cannot pass
+    // by both being wrong the same way.
+    EXPECT_EQ(outcomeDigest(p[0].outcome), golden("wknd_pt32_base").digest);
+    EXPECT_EQ(outcomeDigest(p[1].outcome), golden("wknd_pt32_coop").digest);
+    EXPECT_EQ(outcomeDigest(p[2].outcome), golden("bunny_ao24_coop").digest);
+    EXPECT_EQ(outcomeDigest(p[3].outcome), golden("ship_sh24_base").digest);
 }
 
 TEST(ExecCampaign, JsonLinesByteIdenticalAcrossWorkerCounts)
@@ -272,8 +266,7 @@ TEST(ExecCampaign, UnknownSceneIsAStructuredFailure)
     opt.jobs = 2;
     std::vector<exec::Job> jobs;
     jobs.push_back(exec::Job{"no-such-scene", core::RunConfig{}, "bad"});
-    jobs.push_back(pinnedJob("wknd", 32, core::ShaderKind::PathTracing,
-                             false, "good"));
+    jobs.push_back(pinnedJob("wknd_pt32_base", "good"));
     const auto results = exec::runCampaign(std::move(jobs), opt);
     ASSERT_EQ(results.size(), 2u);
     EXPECT_FALSE(results[0].ok);
@@ -283,7 +276,8 @@ TEST(ExecCampaign, UnknownSceneIsAStructuredFailure)
               std::string::npos);
     // The bad job must not take the campaign down with it.
     ASSERT_TRUE(results[1].ok);
-    EXPECT_EQ(results[1].outcome.gpu.cycles, 34868u);
+    EXPECT_EQ(outcomeDigest(results[1].outcome),
+              golden("wknd_pt32_base").digest);
 }
 
 TEST(ExecCampaign, SanitizeTagMakesFileNames)

@@ -2,7 +2,7 @@
  * @file
  * End-to-end tests of the stall-attribution profiler on real
  * simulation runs: exact conservation on every registry scene, zero
- * timing perturbation against the pinned reference cycles, the
+ * timing perturbation against the golden-outcome table, the
  * folded-stack golden file, and the prof.* metrics-CSV columns.
  */
 
@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../core/outcome_digest.hpp"
 #include "../trace/json_check.hpp"
 #include "core/report.hpp"
 #include "core/simulation.hpp"
@@ -57,15 +58,12 @@ expectConservation(const core::RunOutcome &out, const char *what)
 
 TEST(ProfIntegration, PinnedCyclesUnchangedWithProfiler)
 {
-    // The profiler is purely observational: the pinned reference
-    // numbers of tests/core/test_pinned_cycles.cpp hold bit-for-bit
-    // with profiling enabled.
+    // The profiler is purely observational: the profiled run matches
+    // the pinned outcome of its golden row bit-for-bit.
     prof::Profiler profiler;
     const auto out = runProfiled(profiler, "wknd", 32, false);
-    EXPECT_EQ(out.gpu.cycles, 34868u);
-    EXPECT_EQ(out.gpu.rt.node_fetches, 4545u);
-    EXPECT_EQ(out.gpu.rt.retired_warps, 155u);
-    EXPECT_EQ(out.gpu.stalls.rt, 310412u);
+    EXPECT_EQ(testutil::outcomeDigest(out),
+              testutil::golden("wknd_pt32_base").digest);
     expectConservation(out, "wknd@32 pt baseline");
     EXPECT_GT(out.gpu.prof_summary.of(Bucket::IssueCompute), 0u);
 }

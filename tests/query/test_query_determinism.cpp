@@ -5,13 +5,14 @@
  * scheduling, LBU work stealing, CoopRT on/off and every observer
  * (profiler, ray recorder, memscope, telemetry, trace session) must
  * leave counts, checksums — and, for observers, the simulated cycle
- * counts themselves — bit-identical. This is the query analogue of
- * tests/core/test_pinned_cycles.cpp, pinned relative to a plain run
- * in the same process instead of to hardcoded constants.
+ * counts themselves — bit-identical. Runs are compared by their
+ * whole outcome digest (tests/core/outcome_digest.hpp); the query
+ * rows of that golden-outcome table pin the absolute values.
  */
 
 #include <gtest/gtest.h>
 
+#include "../core/outcome_digest.hpp"
 #include "core/simulation.hpp"
 #include "memscope/memscope.hpp"
 #include "prof/prof.hpp"
@@ -22,6 +23,7 @@
 namespace {
 
 using namespace cooprt;
+using testutil::outcomeDigest;
 
 core::RunConfig
 queryConfig(core::ShaderKind shader, bool coop)
@@ -64,14 +66,12 @@ TEST(QueryDeterminism, RepeatedRunsBitIdentical)
         queryConfig(core::ShaderKind::QueryRadius, true);
     const auto a = sim.run(cfg);
     const auto b = sim.run(cfg);
-    EXPECT_EQ(a.gpu.cycles, b.gpu.cycles);
-    EXPECT_EQ(a.query.checksum, b.query.checksum);
+    EXPECT_EQ(outcomeDigest(a), outcomeDigest(b));
 }
 
 /**
  * Every observer attached at once — the strongest perturbation test:
- * the observed coop k-NN run must report the exact cycles, fetch
- * counts, steal counts and query checksum of the plain run.
+ * the observed coop k-NN run must have the plain run's digest.
  */
 TEST(QueryDeterminism, ObserversDoNotPerturbKnnCoop)
 {
@@ -94,13 +94,7 @@ TEST(QueryDeterminism, ObserversDoNotPerturbKnnCoop)
     cfg.telemetry = &telem;
     const auto observed = sim.run(cfg);
 
-    EXPECT_EQ(observed.gpu.cycles, plain.gpu.cycles);
-    EXPECT_EQ(observed.gpu.rt.node_fetches,
-              plain.gpu.rt.node_fetches);
-    EXPECT_EQ(observed.gpu.rt.leaf_fetches,
-              plain.gpu.rt.leaf_fetches);
-    EXPECT_EQ(observed.gpu.rt.steals, plain.gpu.rt.steals);
-    EXPECT_EQ(observed.query.checksum, plain.query.checksum);
+    EXPECT_EQ(outcomeDigest(observed), outcomeDigest(plain));
     EXPECT_TRUE(observed.gpu.prof_summary.enabled);
     EXPECT_TRUE(observed.gpu.memscope_summary.enabled);
     EXPECT_GT(observed.traceSummary().metric_samples, 0u);
@@ -119,9 +113,7 @@ TEST(QueryDeterminism, ObserversDoNotPerturbContainBase)
     cfg.memscope = &mscope;
     const auto observed = sim.run(cfg);
 
-    EXPECT_EQ(observed.gpu.cycles, plain.gpu.cycles);
-    EXPECT_EQ(observed.gpu.rt.stale_pops, plain.gpu.rt.stale_pops);
-    EXPECT_EQ(observed.query.checksum, plain.query.checksum);
+    EXPECT_EQ(outcomeDigest(observed), outcomeDigest(plain));
 }
 
 TEST(QueryMetrics, ProbesRegisterAndUnregisterWithStore)

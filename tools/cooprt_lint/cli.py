@@ -74,7 +74,7 @@ def _analyze(repo: Path, files: list[Path],
                 f, rel, repo, compile_commands))
         else:
             facts.append(frontend_text.analyze_file(f, rel))
-    frontend_text.classify_loops(facts)
+    frontend_text.resolve_units(facts)
     return facts
 
 

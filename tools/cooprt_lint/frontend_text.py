@@ -7,7 +7,7 @@ argument spans. Offsets come from the stripped ``code`` view so
 comments and string literals can never fake a declaration or a loop.
 
 This frontend is deliberately conservative: it classifies by
-declared-name lookup (file-local first, project-union second), which
+declared-name lookup within a unit (see ``resolve_units``), which
 the libclang frontend replaces with real type information when
 available. Both fill the identical ``FileFacts`` schema.
 """
@@ -146,21 +146,24 @@ def _unit(rel: str) -> str:
     return rel.rsplit(".", 1)[0]
 
 
-def classify_loops(files: list[FileFacts]) -> None:
-    """Second pass once every file's unordered names are known: a
-    range-for is over-unordered when its sequence expression names an
-    unordered container declared in this file or, for members, in the
-    matching header or source (``foo.cpp`` <-> ``foo.hpp``). Names
-    from any other file never taint a loop."""
+def resolve_units(files: list[FileFacts]) -> None:
+    """Second pass once every file's names are known: each file's
+    unordered and float names become its unit's (the file plus its
+    matching ``.hpp``/``.cpp``, where members are declared and used),
+    then range-fors over unordered containers are marked."""
     from model import last_identifier
-    by_unit: dict[str, set[str]] = {}
+    units: dict[str, list[FileFacts]] = {}
     for f in files:
-        by_unit.setdefault(_unit(f.rel), set()).update(f.unordered_vars)
+        units.setdefault(_unit(f.rel), []).append(f)
+    for unit in units.values():
+        unordered = set().union(*(f.unordered_vars for f in unit))
+        floats = set().union(*(f.float_vars for f in unit))
+        for f in unit:
+            f.unordered_vars, f.float_vars = unordered, floats
     for f in files:
-        names = by_unit[_unit(f.rel)]
         for loop in f.loops:
             if not loop.iterated:
                 continue
             loop.over_unordered = (
                 "unordered_" in loop.iterated
-                or last_identifier(loop.iterated) in names)
+                or last_identifier(loop.iterated) in f.unordered_vars)

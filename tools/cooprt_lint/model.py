@@ -45,7 +45,8 @@ class Loop:
 @dataclass
 class FileFacts:
     """Frontend-produced facts for one file. Both frontends fill the
-    same schema; rules never see frontend-specific state."""
+    same schema; rules never see frontend-specific state. Name sets
+    are unit-wide once ``resolve_units`` ran."""
     src: SourceFile
     unordered_vars: set[str] = field(default_factory=set)
     float_vars: set[str] = field(default_factory=set)
@@ -64,11 +65,6 @@ class Project:
     def __init__(self, root: Path, files: list[FileFacts]):
         self.root = root
         self.files = files
-        #: Union of float names across files: member types are
-        #: declared in headers but accumulated in the matching .cpp.
-        self.float_names: set[str] = set()
-        for f in files:
-            self.float_names |= f.float_vars
 
     def design_md(self) -> str:
         p = self.root / "DESIGN.md"

@@ -32,7 +32,6 @@ class FloatAccumulationOrder(Rule):
                    "decides the sum")
 
     def check_project(self, project: Project, add) -> None:
-        floats = project.float_names
         for facts in project.files:
             if not self.applies_to(facts.rel):
                 continue
@@ -44,7 +43,7 @@ class FloatAccumulationOrder(Rule):
                 body = code[loop.body.start:loop.body.end]
                 for m in _ACCUM_RE.finditer(body):
                     name = last_identifier(m.group(1))
-                    if name in facts.float_vars or name in floats:
+                    if name in facts.float_vars:
                         off = loop.body.start + m.start()
                         add(self.id, facts.rel,
                             facts.src.line_of(off),
@@ -58,7 +57,7 @@ class FloatAccumulationOrder(Rule):
                 continue
             for m in _ACCUM_RE.finditer(code):
                 name = last_identifier(m.group(1))
-                if name in facts.float_vars or name in floats:
+                if name in facts.float_vars:
                     add(self.id, facts.rel,
                         facts.src.line_of(m.start()),
                         f"float '+=' on '{name}' in exec worker "
